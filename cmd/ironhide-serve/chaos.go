@@ -5,26 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strconv"
 	"sync"
-	"syscall"
 	"time"
 
 	"ironhide/internal/service"
 	"ironhide/internal/store"
 )
 
-// chaosConfig tunes the crash-recovery self-test.
-type chaosConfig struct {
-	App      string
-	Scale    float64
-	Keys     int // traces committed before the kill, and in flight at it
-	Dilation int64
-}
+// chaosKeys counts the traces the chaos selftest commits before the kill,
+// and the captures in flight at it.
+const chaosKeys = 3
 
 // runChaos is the fault-injection harness's end-to-end act: everything
 // internal/store proves against simulated filesystems, demonstrated on a
@@ -35,67 +27,34 @@ type chaosConfig struct {
 // corrupted entry is quarantined and transparently re-captured, every
 // response is byte-identical across the crash, and a SIGTERM drains the
 // daemon to a clean exit. Returns the process exit code.
-func runChaos(cc chaosConfig) int {
+func runChaos(scale float64, dilation int64) int {
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(os.Stderr, "chaos-selftest: FAIL: "+format+"\n", args...)
 		return 1
 	}
-	if cc.Keys < 1 {
-		cc.Keys = 1
-	}
-	entry, _, err := service.Resolve(cc.App, "IRONHIDE")
+	entry, _, err := service.Resolve(selftestApp, "IRONHIDE")
 	if err != nil {
 		return fail("%v", err)
 	}
-
-	dir, err := os.MkdirTemp("", "ironhide-chaos-")
+	d, err := newDaemon()
 	if err != nil {
 		return fail("%v", err)
 	}
-	defer os.RemoveAll(dir)
-
-	port, err := freePort()
-	if err != nil {
-		return fail("%v", err)
-	}
-	addr := fmt.Sprintf("127.0.0.1:%d", port)
-	base := "http://" + addr
-	spawn := func() (*exec.Cmd, error) {
-		cmd := exec.Command(os.Args[0],
-			"-addr", addr,
-			"-store", dir,
-			"-dilation", strconv.FormatInt(cc.Dilation, 10),
-			"-admit", "8", "-admit-queue", "16",
-		)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		return cmd, cmd.Start()
-	}
-	fmt.Printf("ironhide-serve chaos-selftest: %s at scale %g, store %s, daemon on %s\n", cc.App, cc.Scale, dir, base)
+	defer d.close()
+	fmt.Printf("ironhide-serve chaos-selftest: %s at scale %g, store %s, daemon on %s\n", selftestApp, scale, d.store, d.url)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	child, err := spawn()
-	if err != nil {
-		return fail("spawn daemon: %v", err)
-	}
-	// Whatever happens below, don't leave a stray daemon behind.
-	defer func() {
-		if child != nil && child.Process != nil {
-			_ = child.Process.Kill()
-			_ = child.Wait()
-		}
-	}()
-	cl := &service.Client{BaseURL: base, MaxRetries: 4, Backoff: 50 * time.Millisecond}
-	if err := cl.WaitReady(ctx, 20*time.Second); err != nil {
+	if err := d.start(ctx, dilation); err != nil {
 		return fail("%v", err)
 	}
+	cl := &service.Client{BaseURL: d.url, MaxRetries: 4, Backoff: 50 * time.Millisecond}
 
-	// Phase 1: commit Keys traces and remember the exact responses.
+	// Phase 1: commit chaosKeys traces and remember the exact responses.
 	query := func(seed int64) service.Query {
-		return service.Query{App: cc.App, Model: "IRONHIDE", Scale: cc.Scale, Seed: seed}
+		return service.Query{App: selftestApp, Model: "IRONHIDE", Scale: scale, Seed: seed}
 	}
-	committedSeeds := make([]int64, cc.Keys)
+	committedSeeds := make([]int64, chaosKeys)
 	committed := map[int64]json.RawMessage{}
 	for i := range committedSeeds {
 		seed := int64(100 + i)
@@ -112,7 +71,7 @@ func runChaos(cc chaosConfig) int {
 	// no drain, no fsync-on-exit, exactly the crash the store's
 	// temp+rename+sync protocol must absorb.
 	var wg sync.WaitGroup
-	inflightSeeds := make([]int64, cc.Keys)
+	inflightSeeds := make([]int64, chaosKeys)
 	for i := range inflightSeeds {
 		seed := int64(200 + i)
 		inflightSeeds[i] = seed
@@ -121,24 +80,22 @@ func runChaos(cc chaosConfig) int {
 			defer wg.Done()
 			qctx, qcancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer qcancel()
-			one := &service.Client{BaseURL: base, MaxRetries: 1, Backoff: 20 * time.Millisecond}
+			one := &service.Client{BaseURL: d.url, MaxRetries: 1, Backoff: 20 * time.Millisecond}
 			_, _ = one.PostJSON(qctx, "/v1/run", query(seed), nil) // failure expected: we kill the server under it
 		}(seed)
 	}
 	time.Sleep(300 * time.Millisecond)
-	if err := child.Process.Kill(); err != nil {
+	if err := d.kill(); err != nil {
 		return fail("SIGKILL: %v", err)
 	}
-	_ = child.Wait() // reap; "signal: killed" is the expected status
-	child = nil
 	wg.Wait()
 	fmt.Println("  ✓ SIGKILLed the daemon with captures in flight")
 
 	// Phase 3: deliberate disk rot on one committed entry. The restarted
 	// daemon must quarantine it — never serve it.
 	victimSeed := committedSeeds[0]
-	victimKey := service.TraceKey{App: entry.Name, Scale: cc.Scale, Seed: victimSeed}.String()
-	victimPath := filepath.Join(dir, store.FileName(victimKey))
+	victimKey := service.TraceKey{App: entry.Name, Scale: scale, Seed: victimSeed}.String()
+	victimPath := filepath.Join(d.store, store.FileName(victimKey))
 	rot, err := os.ReadFile(victimPath)
 	if err != nil {
 		return fail("read committed entry %s: %v", victimPath, err)
@@ -149,17 +106,7 @@ func runChaos(cc chaosConfig) int {
 	}
 
 	// Phase 4: restart and verify warm recovery.
-	child2, err := spawn()
-	if err != nil {
-		return fail("respawn daemon: %v", err)
-	}
-	defer func() {
-		if child2 != nil && child2.Process != nil {
-			_ = child2.Process.Kill()
-			_ = child2.Wait()
-		}
-	}()
-	if err := cl.WaitReady(ctx, 20*time.Second); err != nil {
+	if err := d.start(ctx, dilation); err != nil {
 		return fail("restart: %v", err)
 	}
 	var status service.StatusResponse
@@ -215,32 +162,10 @@ func runChaos(cc chaosConfig) int {
 
 	// Phase 5: graceful drain — SIGTERM must exit 0 within the drain
 	// window.
-	if err := child2.Process.Signal(syscall.SIGTERM); err != nil {
-		return fail("SIGTERM: %v", err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- child2.Wait() }()
-	select {
-	case err := <-exited:
-		child2 = nil
-		if err != nil {
-			return fail("drain exit: %v", err)
-		}
-	case <-time.After(40 * time.Second):
-		return fail("daemon did not drain within 40s of SIGTERM")
+	if err := d.drain(); err != nil {
+		return fail("%v", err)
 	}
 	fmt.Println("  ✓ SIGTERM drained to a clean exit")
 	fmt.Println("chaos-selftest: PASS")
 	return 0
-}
-
-// freePort reserves then releases an ephemeral port for the child daemon.
-// There is a small reuse race, acceptable for a test harness.
-func freePort() (int, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port, nil
 }

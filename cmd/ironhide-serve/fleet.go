@@ -8,27 +8,24 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"ironhide/internal/arch"
+	"ironhide/internal/driver"
 	"ironhide/internal/scenario"
 	"ironhide/internal/service"
 )
 
-// fleetSelftestConfig tunes the fleet chaos self-test.
-type fleetSelftestConfig struct {
-	App      string
-	Scale    float64
-	Shards   int
-	Conc     int
-	Dilation int64
-}
+// Fleet selftest sizes: the daemons it spawns, and the client workers
+// per routed load phase.
+const (
+	fleetShards = 3
+	fleetConc   = 4
+)
 
 // fleetRingSeed is the placement seed the self-test fleet agrees on. Any
 // seed works for correctness; this one is fixed so the run — including
@@ -36,16 +33,8 @@ type fleetSelftestConfig struct {
 // reproducible.
 const fleetRingSeed = 9
 
-// fleetShard is one spawned daemon of the self-test fleet.
-type fleetShard struct {
-	url   string
-	addr  string
-	store string
-	cmd   *exec.Cmd
-}
-
 // runFleetSelftest is the sharded-fleet end-to-end act: it spawns
-// cfg.Shards real ironhide-serve daemons as a coordinator-free fleet,
+// fleetShards real ironhide-serve daemons as a coordinator-free fleet,
 // proves every shard and the client-side router agree on ring ownership,
 // routes a uniform key stream through the router and checks balance and
 // byte-identity against an in-process single-node oracle, SIGKILLs one
@@ -54,16 +43,10 @@ type fleetShard struct {
 // restarts it, and proves it re-warms via peer fetch — the restarted
 // shard serves its keys without executing a single capture. Returns the
 // process exit code.
-func runFleetSelftest(fc fleetSelftestConfig) int {
+func runFleetSelftest(scale float64, dilation int64) int {
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(os.Stderr, "fleet-selftest: FAIL: "+format+"\n", args...)
 		return 1
-	}
-	if fc.Shards < 2 {
-		return fail("need at least 2 shards to demonstrate failover (-fleet-shards %d)", fc.Shards)
-	}
-	if fc.Conc < 1 {
-		fc.Conc = 4
 	}
 	baseGoroutines := runtime.NumGoroutine()
 
@@ -72,61 +55,30 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 
 	// Spawn the fleet: every shard gets its own store and the same
 	// membership + ring seed.
-	shards := make([]*fleetShard, fc.Shards)
-	members := make([]string, fc.Shards)
+	shards := make([]*daemon, fleetShards)
+	members := make([]string, fleetShards)
 	for i := range shards {
-		port, err := freePort()
+		d, err := newDaemon()
 		if err != nil {
 			return fail("%v", err)
 		}
-		dir, err := os.MkdirTemp("", "ironhide-fleet-")
-		if err != nil {
-			return fail("%v", err)
-		}
-		defer os.RemoveAll(dir)
-		addr := fmt.Sprintf("127.0.0.1:%d", port)
-		shards[i] = &fleetShard{url: "http://" + addr, addr: addr, store: dir}
-		members[i] = shards[i].url
+		defer d.close()
+		shards[i], members[i] = d, d.url
 	}
-	spawn := func(s *fleetShard) error {
-		cmd := exec.Command(os.Args[0],
-			"-addr", s.addr,
-			"-store", s.store,
-			"-dilation", strconv.FormatInt(fc.Dilation, 10),
-			"-admit", "8", "-admit-queue", "16",
+	start := func(d *daemon) error {
+		return d.start(ctx, dilation,
 			"-fleet-peers", strings.Join(members, ","),
-			"-fleet-self", s.url,
+			"-fleet-self", d.url,
 			"-fleet-seed", strconv.FormatInt(fleetRingSeed, 10),
 		)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return err
-		}
-		s.cmd = cmd
-		return nil
 	}
-	defer func() {
-		for _, s := range shards {
-			if s.cmd != nil && s.cmd.Process != nil {
-				_ = s.cmd.Process.Kill()
-				_ = s.cmd.Wait()
-			}
-		}
-	}()
-	for _, s := range shards {
-		if err := spawn(s); err != nil {
-			return fail("spawn shard %s: %v", s.url, err)
-		}
-	}
-	for _, s := range shards {
-		cl := &service.Client{BaseURL: s.url, MaxRetries: 4, Backoff: 50 * time.Millisecond}
-		if err := cl.WaitReady(ctx, 20*time.Second); err != nil {
-			return fail("shard %s never became ready: %v", s.url, err)
+	for _, d := range shards {
+		if err := start(d); err != nil {
+			return fail("%v", err)
 		}
 	}
 	fmt.Printf("ironhide-serve fleet-selftest: %d shards, %s at scale %g, ring seed %d\n",
-		fc.Shards, fc.App, fc.Scale, fleetRingSeed)
+		fleetShards, selftestApp, scale, fleetRingSeed)
 
 	rt, err := service.NewRouter(service.RouterConfig{
 		Members: members, Seed: fleetRingSeed, Backoff: 50 * time.Millisecond,
@@ -137,9 +89,9 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 
 	// The key stream: uniform (app, scale, seed) queries, 8 per shard.
 	query := func(seed int64) service.Query {
-		return service.Query{App: fc.App, Model: "IRONHIDE", Scale: fc.Scale, Seed: seed}
+		return service.Query{App: selftestApp, Model: "IRONHIDE", Scale: scale, Seed: seed}
 	}
-	keys := 8 * fc.Shards
+	keys := 8 * fleetShards
 	targets := make([]service.RoutedTarget, keys)
 	routeKeys := make([]string, keys)
 	for i := range targets {
@@ -153,24 +105,24 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 	// Gate 1 — ring determinism: every shard's ring answers ownership for
 	// every key exactly as the client-side router computes it. This is the
 	// coordination-free contract; nothing below works without it.
-	for _, s := range shards {
-		cl := &service.Client{BaseURL: s.url}
+	for _, s := range members {
+		cl := &service.Client{BaseURL: s}
 		for _, k := range routeKeys {
 			var ring service.RingResponse
 			if _, err := cl.GetJSON(ctx, "/v1/ring?key="+url.QueryEscape(k), &ring); err != nil {
-				return fail("shard %s ring: %v", s.url, err)
+				return fail("shard %s ring: %v", s, err)
 			}
 			if fmt.Sprint(ring.Owners) != fmt.Sprint(rt.Owners(k)) {
-				return fail("ring disagreement on %q: shard %s says %v, router says %v", k, s.url, ring.Owners, rt.Owners(k))
+				return fail("ring disagreement on %q: shard %s says %v, router says %v", k, s, ring.Owners, rt.Owners(k))
 			}
 		}
 	}
-	fmt.Printf("  ✓ ring determinism: %d shards and the router agree on ownership of all %d keys\n", fc.Shards, keys)
+	fmt.Printf("  ✓ ring determinism: %d shards and the router agree on ownership of all %d keys\n", fleetShards, keys)
 
 	// The single-node oracle: the batch driver's answer for every query,
 	// rendered exactly as the service renders it. Every routed response in
 	// every phase must match it byte for byte — "zero wrong bytes".
-	oracleCfg := service.Config{Arch: arch.TileGx72Scaled(fc.Dilation)}
+	oracleCfg := service.Config{Arch: arch.TileGx72Scaled(dilation)}
 	oracle := make([][]byte, keys)
 	for i := range oracle {
 		if oracle[i], err = batchResultJSON(oracleCfg, targets[i].Query); err != nil {
@@ -197,7 +149,7 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 	// healthy fleet. Zero errors, zero failovers, balanced routing (no
 	// shard above 2x the mean — the keys are uniform), every body equal to
 	// the oracle.
-	warm, warmBodies := service.HammerRouter("warm", rt, targets, fc.Conc)
+	warm, warmBodies := service.HammerRouter("warm", rt, targets, fleetConc)
 	fmt.Println(" ", warm)
 	fmt.Println("   ", warm.ShardLine())
 	if warm.Errors > 0 {
@@ -206,8 +158,8 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 	if warm.Failovers > 0 {
 		return fail("warm phase: %d failovers on a healthy fleet", warm.Failovers)
 	}
-	if len(warm.PerShard) != fc.Shards {
-		return fail("warm phase: only %d/%d shards answered", len(warm.PerShard), fc.Shards)
+	if len(warm.PerShard) != fleetShards {
+		return fail("warm phase: only %d/%d shards answered", len(warm.PerShard), fleetShards)
 	}
 	if skew := warm.MaxShardSkew(); skew > 2 {
 		return fail("warm phase: shard skew %.2f exceeds 2x mean — routing is unbalanced: %s", skew, warm.ShardLine())
@@ -221,7 +173,7 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 	// the re-warm probe below has a definite owner), and it is killed while
 	// fresh captures are executing on it — the harshest moment.
 	victimURL := rt.Owners(routeKeys[0])[0]
-	var victim *fleetShard
+	var victim *daemon
 	for _, s := range shards {
 		if s.url == victimURL {
 			victim = s
@@ -240,11 +192,9 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 		}(seed)
 	}
 	time.Sleep(300 * time.Millisecond)
-	if err := victim.cmd.Process.Kill(); err != nil {
+	if err := victim.kill(); err != nil {
 		return fail("SIGKILL %s: %v", victimURL, err)
 	}
-	_ = victim.cmd.Wait() // reap; "signal: killed" is the expected status
-	victim.cmd = nil
 	wg.Wait()
 	fmt.Printf("  ✓ SIGKILLed shard %s with captures in flight\n", victimURL)
 
@@ -253,7 +203,7 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 	// errors, failovers observed, p99 bounded, and still zero wrong bytes.
 	// Replicas write the traces they serve through to their own stores —
 	// that durability is what the re-warm probe below draws on.
-	failover, failBodies := service.HammerRouter("failover", rt, targets, fc.Conc)
+	failover, failBodies := service.HammerRouter("failover", rt, targets, fleetConc)
 	fmt.Println(" ", failover)
 	fmt.Println("   ", failover.ShardLine())
 	if failover.Errors > 0 {
@@ -284,12 +234,8 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 	if err := os.MkdirAll(victim.store, 0o755); err != nil {
 		return fail("recreate victim store: %v", err)
 	}
-	if err := spawn(victim); err != nil {
-		return fail("respawn %s: %v", victimURL, err)
-	}
-	vcl := &service.Client{BaseURL: victimURL, MaxRetries: 4, Backoff: 50 * time.Millisecond}
-	if err := vcl.WaitReady(ctx, 20*time.Second); err != nil {
-		return fail("restarted shard never became ready: %v", err)
+	if err := start(victim); err != nil {
+		return fail("restart: %v", err)
 	}
 	// The victim's breaker opened while it was dark; force-close it so the
 	// probe routes to the restarted owner now instead of after a cooldown.
@@ -323,7 +269,7 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 		return fail("restarted shard served %d of its keys but none via peer fetch", rewarmed)
 	}
 	var vStatus service.StatusResponse
-	if _, err := vcl.GetJSON(ctx, "/v1/status", &vStatus); err != nil {
+	if _, err := (&service.Client{BaseURL: victimURL}).GetJSON(ctx, "/v1/status", &vStatus); err != nil {
 		return fail("victim status: %v", err)
 	}
 	if vStatus.LiveCaptures != 0 {
@@ -339,7 +285,7 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 	// byte-identical), and one multi-tenant scenario.
 	grid := service.GridRequest{}
 	for _, model := range []string{"Insecure", "SGX", "MI6", "IRONHIDE"} {
-		grid.Cells = append(grid.Cells, service.Query{App: fc.App, Model: model, Scale: fc.Scale, Seed: 1})
+		grid.Cells = append(grid.Cells, service.Query{App: selftestApp, Model: model, Scale: scale, Seed: 1})
 	}
 	var g1, g2 json.RawMessage
 	if _, err := rt.Grid(ctx, grid, &g1); err != nil {
@@ -352,11 +298,11 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 		return fail("routed grid is non-deterministic across repeats")
 	}
 	sreq := service.ScenarioRequest{Spec: scenario.Spec{
-		Seed: 7, Scale: fc.Scale, Apps: []string{fc.App, "sssp-graph"},
+		Seed: 7, Scale: scale, Apps: []string{selftestApp, "sssp-graph"},
 		Timeline: []scenario.Event{
-			{Kind: scenario.Arrive, App: fc.App},
+			{Kind: scenario.Arrive, App: selftestApp},
 			{Kind: scenario.Arrive, App: "sssp-graph"},
-			{Kind: scenario.Depart, App: fc.App},
+			{Kind: scenario.Depart, App: selftestApp},
 		},
 	}}
 	var sresp json.RawMessage
@@ -367,21 +313,8 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 
 	// Gate 7 — drain the fleet: SIGTERM every shard, all must exit 0.
 	for _, s := range shards {
-		if err := s.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return fail("SIGTERM %s: %v", s.url, err)
-		}
-	}
-	for _, s := range shards {
-		exited := make(chan error, 1)
-		go func(s *fleetShard) { exited <- s.cmd.Wait() }(s)
-		select {
-		case err := <-exited:
-			s.cmd = nil
-			if err != nil {
-				return fail("shard %s drain exit: %v", s.url, err)
-			}
-		case <-time.After(40 * time.Second):
-			return fail("shard %s did not drain within 40s of SIGTERM", s.url)
+		if err := s.drain(); err != nil {
+			return fail("%v", err)
 		}
 	}
 	fmt.Println("  ✓ SIGTERM drained every shard to a clean exit")
@@ -399,4 +332,23 @@ func runFleetSelftest(fc fleetSelftestConfig) int {
 	fmt.Println("  ✓ no goroutine leak")
 	fmt.Println("fleet-selftest: PASS")
 	return 0
+}
+
+// batchResultJSON runs the query through the batch driver path and
+// renders the Result exactly as the service does, so the two can be
+// diffed byte-for-byte.
+func batchResultJSON(cfg service.Config, q service.Query) ([]byte, error) {
+	entry, mf, err := service.Resolve(q.App, q.Model)
+	if err != nil {
+		return nil, err
+	}
+	res, err := driver.Run(cfg.Arch, mf(), entry.Factory, q.Options())
+	if err != nil {
+		return nil, err
+	}
+	out, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(out, '\n'), nil
 }

@@ -12,25 +12,14 @@
 //	               [-capture-grace d]
 //	ironhide-serve -fleet-peers url1,url2,... -fleet-self url1
 //	               [-fleet-seed n] [-fleet-vnodes n] [-fleet-replicas n]
-//	ironhide-serve -selftest [selftest flags]
-//	ironhide-serve -chaos-selftest [chaos flags]
-//	ironhide-serve -fleet-selftest [-fleet-shards n]
-//	ironhide-serve -stream-selftest
+//	ironhide-serve -chaos-selftest [-selftest-scale f]
+//	ironhide-serve -fleet-selftest [-selftest-scale f]
 //
 // Serving mode listens on -addr until SIGINT/SIGTERM, then flips
 // /v1/readyz to 503, drains in-flight requests and exits. With -store,
 // captured traces persist in a crash-safe checksummed store and pre-warm
 // the cache on restart; with -admit, excess load is shed with 503 +
 // Retry-After instead of queueing without bound.
-//
-// -selftest starts the service in-process, hammers it with cold
-// (unique-query) and warm (repeated-query) load streams plus a mixed
-// search/run/grid stream and an overload stream against a gated twin,
-// prints throughput, latency percentiles and shed rates, and exits
-// nonzero unless the warm stream achieves -min-speedup times the cold
-// stream's throughput, the online answers are byte-identical to the
-// batch driver, and overload is shed cleanly (no 5xx other than 503, no
-// 503 without Retry-After, no goroutine leaks).
 //
 // With -fleet-peers, the instance joins a coordinator-free sharded
 // fleet: every shard is handed the same membership and ring seed, agrees
@@ -46,12 +35,17 @@
 // re-capture, the corrupted entry is quarantined and transparently
 // re-captured, and every response stays byte-identical across the crash.
 //
-// -fleet-selftest is the chaos story at fleet scale: it spawns
-// -fleet-shards real daemons as a sharded fleet, routes mixed load
-// through the consistent-hash router, SIGKILLs one shard mid-capture and
-// proves failover (zero errors, bounded p99, byte-identical to a
-// single-node oracle), then wipes and restarts the dead shard and proves
-// it re-warms from its peers instead of re-executing payloads.
+// -fleet-selftest is the chaos story at fleet scale: it spawns three real
+// daemons as a sharded fleet, routes mixed load through the
+// consistent-hash router, SIGKILLs one shard mid-capture and proves
+// failover (zero errors, bounded p99, byte-identical to a single-node
+// oracle), then wipes and restarts the dead shard and proves it re-warms
+// from its peers instead of re-executing payloads.
+//
+// The in-process checks — byte-identity with the batch driver, shed
+// semantics, streamed == blocking — are tests of internal/service; the
+// warm and cold serving numbers come from the benchmark (bash
+// benchmark/run.sh).
 package main
 
 import (
@@ -84,21 +78,8 @@ func main() {
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint attached to shed (503) responses")
 	captureGrace := flag.Duration("capture-grace", 0, "how long an abandoned capture may keep running (0 = run to completion and fill the cache)")
 
-	selftest := flag.Bool("selftest", false, "run the load-generator self-test against an in-process server and exit")
-	stApp := flag.String("selftest-app", "aes-query", "application the cold/warm streams query")
-	stScale := flag.Float64("selftest-scale", 0.25, "scale of the self-test queries")
-	stCold := flag.Int("selftest-cold", 4, "cold-phase unique queries (each forces a capture)")
-	stWarm := flag.Int("selftest-warm", 32, "warm-phase repeated queries (replayed from cache)")
-	stConc := flag.Int("selftest-concurrency", 4, "client workers per phase")
-	// The required warm/cold ratio tracks how expensive a capture is
-	// relative to a cached replay. Table-driven AES made live capture ~15x
-	// cheaper, which compressed the measured ratio from ~20x to ~3.5x —
-	// the warm stream got faster in absolute terms, the cold stream got
-	// faster still. 2x keeps noise margin on shared runners.
-	minSpeedup := flag.Float64("min-speedup", 2, "required warm/cold throughput ratio")
-
 	chaos := flag.Bool("chaos-selftest", false, "run the crash-recovery self-test (re-executes this binary as a daemon, SIGKILLs it, restarts it) and exit")
-	chaosKeys := flag.Int("chaos-keys", 3, "committed traces before the kill, and in-flight captures at the kill")
+	stScale := flag.Float64("selftest-scale", 0.25, "scale of the chaos and fleet self-test queries")
 
 	fleetPeers := flag.String("fleet-peers", "", "comma-separated base URLs of every fleet shard, this one included (empty = not sharded)")
 	fleetSelf := flag.String("fleet-self", "", "this shard's base URL exactly as listed in -fleet-peers")
@@ -107,10 +88,14 @@ func main() {
 	fleetReplicas := flag.Int("fleet-replicas", 0, "replica-set size per trace key: owner + backups (0 = default)")
 
 	fleetSelftest := flag.Bool("fleet-selftest", false, "run the fleet chaos self-test (spawns a real sharded fleet, SIGKILLs a shard mid-capture, proves failover and peer-fetch re-warm) and exit")
-	fleetShards := flag.Int("fleet-shards", 3, "shards the fleet self-test spawns")
-
-	streamSelftest := flag.Bool("stream-selftest", false, "run the scenario streaming self-test (streamed vs blocking bodies diffed byte-for-byte per policy at engine fan-out 4 vs 1) and exit")
 	flag.Parse()
+
+	if *chaos {
+		os.Exit(runChaos(*stScale, *dilation))
+	}
+	if *fleetSelftest {
+		os.Exit(runFleetSelftest(*stScale, *dilation))
+	}
 
 	cfg := service.Config{
 		Arch:           arch.TileGx72Scaled(*dilation),
@@ -121,39 +106,6 @@ func main() {
 		AdmitQueue:     *admitQueue,
 		RetryAfter:     *retryAfter,
 		CaptureGrace:   *captureGrace,
-	}
-	if *selftest {
-		os.Exit(runSelftest(cfg, selftestConfig{
-			App:        *stApp,
-			Scale:      *stScale,
-			Cold:       *stCold,
-			Warm:       *stWarm,
-			Conc:       *stConc,
-			MinSpeedup: *minSpeedup,
-		}))
-	}
-	if *chaos {
-		os.Exit(runChaos(chaosConfig{
-			App:      *stApp,
-			Scale:    *stScale,
-			Keys:     *chaosKeys,
-			Dilation: *dilation,
-		}))
-	}
-	if *streamSelftest {
-		os.Exit(runStreamSelftest(cfg, streamSelftestConfig{
-			Apps:  []string{"aes-query", "sssp-graph"},
-			Scale: 0.05,
-		}))
-	}
-	if *fleetSelftest {
-		os.Exit(runFleetSelftest(fleetSelftestConfig{
-			App:      *stApp,
-			Scale:    *stScale,
-			Shards:   *fleetShards,
-			Conc:     *stConc,
-			Dilation: *dilation,
-		}))
 	}
 
 	if *fleetPeers != "" {

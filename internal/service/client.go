@@ -134,68 +134,71 @@ func (c *Client) PostJSON(ctx context.Context, path string, req, resp any) (http
 	if err != nil {
 		return nil, fmt.Errorf("marshal request: %w", err)
 	}
-	do := func() (*http.Response, error) {
-		hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		hr.Header.Set("Content-Type", "application/json")
-		return c.httpClient().Do(hr)
-	}
-	return c.roundTrip(ctx, do, resp)
+	return c.roundTrip(ctx, http.MethodPost, path, body, "", decodeJSON(resp))
 }
 
 // GetJSON fetches path and decodes the 2xx body into resp.
 func (c *Client) GetJSON(ctx context.Context, path string, resp any) (http.Header, error) {
-	do := func() (*http.Response, error) {
-		hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+	return c.roundTrip(ctx, http.MethodGet, path, nil, "", decodeJSON(resp))
+}
+
+// decodeJSON is the body consumer of PostJSON and GetJSON: it decodes the
+// body into out, or drains it when out is nil.
+func decodeJSON(out any) func(io.Reader) error {
+	return func(body io.Reader) error {
+		if out == nil {
+			_, _ = io.Copy(io.Discard, body)
+			return nil
+		}
+		if err := json.NewDecoder(body).Decode(out); err != nil {
+			return fmt.Errorf("decode response: %w", err)
+		}
+		return nil
+	}
+}
+
+// roundTrip is the client's one retry loop. It sends the request (body is
+// JSON when non-nil; accept, when set, is the Accept header), retrying
+// shed responses and transport errors, and hands the first 2xx body to
+// consume, whose error it returns. A failure while consuming is never
+// retried: the response had already begun.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, accept string, consume func(io.Reader) error) (http.Header, error) {
+	for attempt := 0; ; attempt++ {
+		hr, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
-		return c.httpClient().Do(hr)
-	}
-	return c.roundTrip(ctx, do, resp)
-}
-
-func (c *Client) roundTrip(ctx context.Context, do func() (*http.Response, error), out any) (http.Header, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		hres, err := do()
-		if err == nil {
-			if hres.StatusCode/100 == 2 {
-				defer hres.Body.Close()
-				if out == nil {
-					_, _ = io.Copy(io.Discard, hres.Body)
-					return hres.Header, nil
-				}
-				if err := json.NewDecoder(hres.Body).Decode(out); err != nil {
-					return hres.Header, fmt.Errorf("decode response: %w", err)
-				}
-				return hres.Header, nil
-			}
-			b, _ := io.ReadAll(io.LimitReader(hres.Body, 4096))
-			hres.Body.Close()
-			lastErr = &StatusError{Status: hres.StatusCode, Body: string(bytes.TrimSpace(b))}
-			if hres.StatusCode != http.StatusServiceUnavailable {
-				return hres.Header, lastErr
+		if body != nil {
+			hr.Header.Set("Content-Type", "application/json")
+		}
+		if accept != "" {
+			hr.Header.Set("Accept", accept)
+		}
+		hres, err := c.httpClient().Do(hr)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
 			}
 			if attempt >= c.maxRetries() {
-				return hres.Header, lastErr
+				return nil, err
 			}
-			if err := c.sleep(ctx, c.retryDelay(ctx, attempt, hres)); err != nil {
-				return hres.Header, err
+			if err := c.sleep(ctx, c.retryDelay(ctx, attempt, nil)); err != nil {
+				return nil, err
 			}
 			continue
 		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+		if hres.StatusCode/100 == 2 {
+			defer hres.Body.Close()
+			return hres.Header, consume(hres.Body)
 		}
-		if attempt >= c.maxRetries() {
-			return nil, lastErr
+		b, _ := io.ReadAll(io.LimitReader(hres.Body, 4096))
+		hres.Body.Close()
+		serr := &StatusError{Status: hres.StatusCode, Body: string(bytes.TrimSpace(b))}
+		if hres.StatusCode != http.StatusServiceUnavailable || attempt >= c.maxRetries() {
+			return hres.Header, serr
 		}
-		if err := c.sleep(ctx, c.retryDelay(ctx, attempt, nil)); err != nil {
-			return nil, err
+		if err := c.sleep(ctx, c.retryDelay(ctx, attempt, hres)); err != nil {
+			return hres.Header, err
 		}
 	}
 }
@@ -227,49 +230,27 @@ func sleep(ctx context.Context, d time.Duration) error {
 // chunk) or ErrStreamTruncated (connection cut), never as a silently
 // short body.
 func (c *Client) ScenarioStream(ctx context.Context, req ScenarioRequest, onEvent func(scenario.StreamEvent)) (*StreamOutcome, error) {
+	body, err := streamBody(req)
+	if err != nil {
+		return nil, err
+	}
+	var out *StreamOutcome
+	_, err = c.roundTrip(ctx, http.MethodPost, "/v1/scenario", body, ContentTypeNDJSON, func(r io.Reader) error {
+		var err error
+		out, err = consumeScenarioStream(r, onEvent)
+		return err
+	})
+	return out, err
+}
+
+// streamBody marshals a scenario request with streaming forced on.
+func streamBody(req ScenarioRequest) ([]byte, error) {
 	req.Stream = true
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("marshal request: %w", err)
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/scenario", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		hr.Header.Set("Content-Type", "application/json")
-		hr.Header.Set("Accept", ContentTypeNDJSON)
-		hres, err := c.httpClient().Do(hr)
-		if err != nil {
-			lastErr = err
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			if attempt >= c.maxRetries() {
-				return nil, lastErr
-			}
-			if err := c.sleep(ctx, c.retryDelay(ctx, attempt, nil)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if hres.StatusCode/100 != 2 {
-			b, _ := io.ReadAll(io.LimitReader(hres.Body, 4096))
-			hres.Body.Close()
-			lastErr = &StatusError{Status: hres.StatusCode, Body: string(bytes.TrimSpace(b))}
-			if hres.StatusCode != http.StatusServiceUnavailable || attempt >= c.maxRetries() {
-				return nil, lastErr
-			}
-			if err := c.sleep(ctx, c.retryDelay(ctx, attempt, hres)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		out, err := consumeScenarioStream(hres, onEvent)
-		hres.Body.Close()
-		return out, err
-	}
+	return body, nil
 }
 
 // WaitReady polls /v1/readyz until the server answers 200, the timeout

@@ -1,23 +1,17 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"ironhide/internal/scenario"
 )
 
 // LoadReport summarizes one load-generation phase against a running
-// server: request counts, wall-clock throughput, and latency percentiles.
+// fleet: request counts, wall-clock throughput, and latency percentiles.
 type LoadReport struct {
 	Name        string
 	Requests    int
@@ -26,25 +20,15 @@ type LoadReport struct {
 	Duration    time.Duration
 	P50, P90    time.Duration
 	P99         time.Duration
-	// Shed counts well-formed load-shedding answers: 503 with a
-	// Retry-After header. A 503 *without* Retry-After is a protocol
-	// violation and counts as an error instead, as does any other 5xx —
-	// overload must be shed cleanly or not at all.
-	Shed int
-	// Failovers counts shard attempts abandoned in favor of a replica
-	// (routed streams only). A failover is NOT an error: the request
-	// succeeded, it just took more than one shard to get there — the two
-	// must stay separately visible or a dying shard hides inside the
-	// error rate.
+	// Failovers counts shard attempts abandoned in favor of a replica. A
+	// failover is NOT an error: the request succeeded, it just took more
+	// than one shard to get there — the two must stay separately visible
+	// or a dying shard hides inside the error rate.
 	Failovers int
-	// StreamEvents counts engine phase events delivered across all
-	// streamed requests (streamed scenario phases only; 0 elsewhere).
-	StreamEvents int64
-	// PerShard breaks successful requests down by the shard that answered
-	// (from the X-Ironhide-Shard header; empty for non-fleet servers).
+	// PerShard breaks successful requests down by the shard that answered.
 	// The fleet selftest asserts routing balance on it.
 	PerShard map[string]*ShardLoad
-	// FirstError carries the first non-OK body observed, for diagnostics.
+	// FirstError carries the first error observed, for diagnostics.
 	FirstError string
 }
 
@@ -108,10 +92,10 @@ func (r *LoadReport) ThroughputRPS() float64 {
 	if r.Duration <= 0 {
 		return 0
 	}
-	return float64(r.Requests-r.Errors-r.Shed) / r.Duration.Seconds()
+	return float64(r.Requests-r.Errors) / r.Duration.Seconds()
 }
 
-// ErrorRate is the fraction of requests that failed (sheds excluded).
+// ErrorRate is the fraction of requests that failed.
 func (r *LoadReport) ErrorRate() float64 {
 	if r.Requests == 0 {
 		return 0
@@ -119,20 +103,12 @@ func (r *LoadReport) ErrorRate() float64 {
 	return float64(r.Errors) / float64(r.Requests)
 }
 
-// ShedRate is the fraction of requests the server shed with 503.
-func (r *LoadReport) ShedRate() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.Shed) / float64(r.Requests)
-}
-
 // String renders the report as one human line.
 func (r *LoadReport) String() string {
-	line := fmt.Sprintf("%-12s %4d reqs × %d workers in %8s  →  %8.2f req/s   p50 %s  p90 %s  p99 %s  (%.0f%% errors, %.0f%% shed)",
+	line := fmt.Sprintf("%-12s %4d reqs × %d workers in %8s  →  %8.2f req/s   p50 %s  p90 %s  p99 %s  (%.0f%% errors)",
 		r.Name, r.Requests, r.Concurrency, r.Duration.Round(time.Millisecond), r.ThroughputRPS(),
 		r.P50.Round(time.Microsecond), r.P90.Round(time.Microsecond), r.P99.Round(time.Microsecond),
-		100*r.ErrorRate(), 100*r.ShedRate())
+		100*r.ErrorRate())
 	if r.Failovers > 0 {
 		line += fmt.Sprintf(", %d failovers", r.Failovers)
 	}
@@ -156,85 +132,6 @@ func (r *LoadReport) ShardLine() string {
 		parts[i] = fmt.Sprintf("%s: %d reqs (%d hit, %d peer)", s, sl.Requests, sl.Hits, sl.PeerFetched)
 	}
 	return strings.Join(parts, "  ")
-}
-
-// Target is one request of a load stream: a JSON body POSTed to a URL.
-type Target struct {
-	URL  string
-	Body []byte
-}
-
-// Hammer fires every target as a POST (JSON) from `concurrency` workers
-// and reports throughput and latency percentiles. Targets are dealt to
-// workers round-robin; a non-2xx response or transport error counts as an
-// error but does not stop the run.
-func Hammer(name string, client *http.Client, targets []Target, concurrency int) *LoadReport {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	if concurrency > len(targets) {
-		concurrency = len(targets)
-	}
-	latencies := make([]time.Duration, len(targets))
-	errs := make([]string, len(targets))
-	sheds := make([]bool, len(targets))
-	shards := make([]string, len(targets))
-	srcs := make([]string, len(targets))
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(targets); i += concurrency {
-				t0 := time.Now()
-				resp, err := client.Post(targets[i].URL, "application/json", bytes.NewReader(targets[i].Body))
-				if err != nil {
-					errs[i] = err.Error()
-					continue
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				switch {
-				case resp.StatusCode == http.StatusOK:
-					latencies[i] = time.Since(t0)
-					shards[i] = resp.Header.Get("X-Ironhide-Shard")
-					srcs[i] = resp.Header.Get("X-Ironhide-Cache")
-				case resp.StatusCode == http.StatusServiceUnavailable:
-					if resp.Header.Get("Retry-After") == "" {
-						errs[i] = fmt.Sprintf("shed without Retry-After: %s", bytes.TrimSpace(body))
-					} else {
-						sheds[i] = true
-					}
-				default:
-					errs[i] = fmt.Sprintf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	rep := &LoadReport{Name: name, Requests: len(targets), Concurrency: concurrency, Duration: time.Since(start)}
-	var ok []time.Duration
-	for i, l := range latencies {
-		if errs[i] != "" {
-			rep.Errors++
-			if rep.FirstError == "" {
-				rep.FirstError = errs[i]
-			}
-			continue
-		}
-		if sheds[i] {
-			rep.Shed++
-			continue
-		}
-		rep.recordShard(shards[i], srcs[i])
-		ok = append(ok, l)
-	}
-	sort.Slice(ok, func(a, b int) bool { return ok[a] < ok[b] })
-	rep.P50 = percentile(ok, 0.50)
-	rep.P90 = percentile(ok, 0.90)
-	rep.P99 = percentile(ok, 0.99)
-	return rep
 }
 
 // RoutedTarget is one request of a routed load stream: a query aimed at
@@ -310,71 +207,6 @@ func HammerRouter(name string, rt *Router, targets []RoutedTarget, concurrency i
 	return rep, bodies
 }
 
-// HammerScenarioStream fires every scenario request as a routed stream
-// from `concurrency` workers, counting delivered engine events and
-// reconstructing each terminal report's blocking body (index-aligned with
-// targets; nil on error) so callers can diff streamed answers against
-// blocking oracles. Mid-stream deaths (typed StreamError / truncation)
-// count as errors — a stream must end in a terminal chunk or fail loudly.
-func HammerScenarioStream(name string, rt *Router, targets []ScenarioRequest, concurrency int) (*LoadReport, [][]byte) {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	if concurrency > len(targets) {
-		concurrency = len(targets)
-	}
-	latencies := make([]time.Duration, len(targets))
-	errs := make([]string, len(targets))
-	shards := make([]string, len(targets))
-	srcs := make([]string, len(targets))
-	failovers := make([]int, len(targets))
-	bodies := make([][]byte, len(targets))
-	var events atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(targets); i += concurrency {
-				t0 := time.Now()
-				out, res, err := rt.ScenarioStream(context.Background(), targets[i],
-					func(scenario.StreamEvent) { events.Add(1) })
-				failovers[i] = res.Failovers
-				if err != nil {
-					errs[i] = err.Error()
-					continue
-				}
-				latencies[i] = time.Since(t0)
-				shards[i] = res.Shard
-				srcs[i] = out.Cache
-				bodies[i] = out.Body
-			}
-		}(w)
-	}
-	wg.Wait()
-	rep := &LoadReport{Name: name, Requests: len(targets), Concurrency: concurrency, Duration: time.Since(start),
-		StreamEvents: events.Load()}
-	var ok []time.Duration
-	for i, l := range latencies {
-		rep.Failovers += failovers[i]
-		if errs[i] != "" {
-			rep.Errors++
-			if rep.FirstError == "" {
-				rep.FirstError = errs[i]
-			}
-			continue
-		}
-		rep.recordShard(shards[i], srcs[i])
-		ok = append(ok, l)
-	}
-	sort.Slice(ok, func(a, b int) bool { return ok[a] < ok[b] })
-	rep.P50 = percentile(ok, 0.50)
-	rep.P90 = percentile(ok, 0.90)
-	rep.P99 = percentile(ok, 0.99)
-	return rep, bodies
-}
-
 // percentile reads the p-quantile from sorted latencies.
 func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
@@ -382,17 +214,4 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	}
 	i := int(p * float64(len(sorted)-1))
 	return sorted[i]
-}
-
-// QueryTargets marshals one target per query, all aimed at url.
-func QueryTargets(url string, queries []Query) ([]Target, error) {
-	out := make([]Target, len(queries))
-	for i, q := range queries {
-		b, err := json.Marshal(q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = Target{URL: url, Body: b}
-	}
-	return out, nil
 }

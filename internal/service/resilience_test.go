@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,6 +95,123 @@ func TestQueuedDeadlineShedsNot504(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed response missing Retry-After")
+	}
+}
+
+// A herd against a saturated gate is shed cleanly, and the server's books
+// agree with what the clients saw. With the only execution slot held,
+// every herd request either waits in the queue (and gets 200 once the
+// slot frees) or is shed with 503 + Retry-After, never another status;
+// /v1/status counts exactly the sheds the clients received; a retrying
+// Client caught in the storm completes once capacity returns; warm
+// replays stay cache hits with no new captures; and no goroutines are
+// left behind.
+func TestGatedHerdShedsCleanly(t *testing.T) {
+	s, ts := testServer(t, Config{AdmitCapacity: 1, AdmitQueue: 2, RetryAfter: 20 * time.Millisecond})
+	q := Query{App: "sssp-graph", Model: "IRONHIDE", Scale: 0.1, Seed: 42}
+	if resp, body := post(t, ts, "/v1/run", q); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up: status %d: %s", resp.StatusCode, body)
+	}
+	captures := s.liveCaptures.Load()
+	ts.Client().CloseIdleConnections()
+	baseGoroutines := runtime.NumGoroutine()
+
+	if err := s.gate.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(q)
+	const herd = 8
+	statuses := make([]int, herd)
+	headers := make([]http.Header, herd)
+	var wg sync.WaitGroup
+	for i := 0; i < herd; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			statuses[i], headers[i] = resp.StatusCode, resp.Header
+		}(i)
+	}
+	// The client counts its own sheds: it sleeps once per retried 503.
+	var clientSheds atomic.Int64
+	rc := &Client{BaseURL: ts.URL, HTTP: ts.Client(), MaxRetries: 50,
+		sleepFn: func(ctx context.Context, d time.Duration) error {
+			clientSheds.Add(1)
+			return sleep(ctx, d)
+		}}
+	rcErr := make(chan error, 1)
+	go func() {
+		_, err := rc.PostJSON(context.Background(), "/v1/run", q, nil)
+		rcErr <- err
+	}()
+
+	// Release the slot once every requester is accounted for: the queue is
+	// full and the rest have been shed at least once.
+	deadline := time.Now().Add(10 * time.Second)
+	for st := s.gate.stats(); st.Waiting < 2 || st.Shed < herd-1; st = s.gate.stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("herd never saturated the gate: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.gate.release()
+	wg.Wait()
+	if err := <-rcErr; err != nil {
+		t.Fatalf("retrying client under shedding: %v", err)
+	}
+
+	ok, shed := 0, 0
+	for i, status := range statuses {
+		switch {
+		case status == http.StatusOK:
+			ok++
+			if src := headers[i].Get("X-Ironhide-Cache"); src != srcHit {
+				t.Fatalf("herd request %d: warm replay served from %q, want hit", i, src)
+			}
+		case status == http.StatusServiceUnavailable && headers[i].Get("Retry-After") != "":
+			shed++
+		default:
+			t.Fatalf("herd request %d: status %d (Retry-After %q), want 200 or 503 with Retry-After",
+				i, status, headers[i].Get("Retry-After"))
+		}
+	}
+	if ok == 0 || shed+int(clientSheds.Load()) < herd-1 {
+		t.Fatalf("herd of %d: %d ok, %d shed, client shed %d times", herd, ok, shed, clientSheds.Load())
+	}
+
+	// Repeated warm runs are all cache hits.
+	for i := 0; i < 4; i++ {
+		resp, b := post(t, ts, "/v1/run", q)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Ironhide-Cache") != srcHit {
+			t.Fatalf("warm run %d: status %d, source %q: %s", i, resp.StatusCode, resp.Header.Get("X-Ironhide-Cache"), b)
+		}
+	}
+	var sr StatusResponse
+	if _, err := (&Client{BaseURL: ts.URL, HTTP: ts.Client()}).GetJSON(context.Background(), "/v1/status", &sr); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(shed) + clientSheds.Load(); sr.Admission.Shed != want {
+		t.Fatalf("status counts %d sheds, clients saw %d", sr.Admission.Shed, want)
+	}
+	if sr.LiveCaptures != captures {
+		t.Fatalf("live captures %d → %d: warm replays must not re-capture", captures, sr.LiveCaptures)
+	}
+
+	// Shed, queued and replayed alike, the goroutine count settles back
+	// once idle connections close.
+	ts.Client().CloseIdleConnections()
+	deadline = time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseGoroutines+4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d now vs %d before the herd", runtime.NumGoroutine(), baseGoroutines)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"sync/atomic"
@@ -29,7 +31,7 @@ type Router struct {
 	breakers map[string]*fleet.Breaker
 	cfg      RouterConfig
 
-	failovers, requests atomic.Int64
+	failovers atomic.Int64
 }
 
 // RouterConfig tunes a Router.
@@ -177,11 +179,29 @@ func retryableRouteError(err error) bool {
 	return true // transport-level error
 }
 
+// delivered marks a body consumer's error after part of the body already
+// reached the caller: failing the request over would replay what the
+// caller consumed, so the router surfaces the error (err) instead.
+type delivered struct{ err error }
+
+func (d *delivered) Error() string { return d.err.Error() }
+
 // PostJSON routes a POST to the owner of key, failing over across the
 // key's replica set. key is the raw routing key (see RouteKey); req/resp
 // are as in Client.PostJSON.
 func (rt *Router) PostJSON(ctx context.Context, path, key string, req, resp any) (RoutedResult, error) {
-	rt.requests.Add(1)
+	body, err := json.Marshal(req)
+	if err != nil {
+		return RoutedResult{}, fmt.Errorf("marshal request: %w", err)
+	}
+	return rt.post(ctx, path, key, body, "", decodeJSON(resp))
+}
+
+// post is the router's one pass/breaker loop: it sends the request to the
+// owner of key through that shard's retrying Client (see
+// Client.roundTrip), failing over across the key's replica set. A consume
+// error wrapped in *delivered is not failed over.
+func (rt *Router) post(ctx context.Context, path, key string, body []byte, accept string, consume func(io.Reader) error) (RoutedResult, error) {
 	owners := rt.Owners(key)
 	res := RoutedResult{}
 	var lastErr error
@@ -201,11 +221,19 @@ func (rt *Router) PostJSON(ctx context.Context, path, key string, req, resp any)
 			if !br.Allow() {
 				continue // breaker open: skip without burning an attempt
 			}
-			hdr, err := rt.clients[shard].PostJSON(ctx, path, req, resp)
+			hdr, err := rt.clients[shard].roundTrip(ctx, http.MethodPost, path, body, accept, consume)
 			if err == nil {
 				br.Success()
 				res.Shard, res.Header = shard, hdr
 				return res, nil
+			}
+			var d *delivered
+			if errors.As(err, &d) {
+				// The shard died mid-body: it failed, but no other shard may
+				// take over.
+				br.Failure()
+				res.Shard, res.Header = shard, hdr
+				return res, d.err
 			}
 			if !retryableRouteError(err) {
 				// Deterministic failure: report it from this shard, and
@@ -282,65 +310,26 @@ func scenarioRouteKey(req ScenarioRequest) (string, error) {
 // surfaces as a typed *StreamError (terminal error chunk) or a wrapped
 // ErrStreamTruncated, never a silently short body.
 func (rt *Router) ScenarioStream(ctx context.Context, req ScenarioRequest, onEvent func(scenario.StreamEvent)) (*StreamOutcome, RoutedResult, error) {
-	rt.requests.Add(1)
 	key, err := scenarioRouteKey(req)
 	if err != nil {
 		return nil, RoutedResult{}, err
 	}
-	owners := rt.Owners(key)
-	res := RoutedResult{}
-	var lastErr error
-	for pass := 0; pass < rt.cfg.maxPasses(); pass++ {
-		if pass > 0 {
-			d := rt.cfg.backoff() << (pass - 1)
-			d = time.Duration(float64(d) * (0.5 + rand.Float64()))
-			if err := sleep(ctx, d); err != nil {
-				return nil, res, err
-			}
-		}
-		for _, shard := range owners {
-			br := rt.breakers[shard]
-			if !br.Allow() {
-				continue
-			}
-			delivered := 0
-			out, err := rt.clients[shard].ScenarioStream(ctx, req, func(ev scenario.StreamEvent) {
-				delivered++
-				if onEvent != nil {
-					onEvent(ev)
-				}
-			})
-			if err == nil {
-				br.Success()
-				res.Shard = shard
-				return out, res, nil
-			}
-			if delivered > 0 {
-				// The stream had begun: no failover. Tag the typed error
-				// with the shard so the caller knows who died mid-stream.
-				res.Shard = shard
-				var se *StreamError
-				if errors.As(err, &se) {
-					se.Shard = shard
-				}
-				br.Failure()
-				return out, res, err
-			}
-			if !retryableRouteError(err) {
-				res.Shard = shard
-				return out, res, err
-			}
-			br.Failure()
-			res.Failovers++
-			rt.failovers.Add(1)
-			lastErr = err
-			if ctx.Err() != nil {
-				return nil, res, ctx.Err()
-			}
-		}
+	body, err := streamBody(req)
+	if err != nil {
+		return nil, RoutedResult{}, err
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("router: all %d replicas of %q unavailable (breakers open)", len(owners), key)
+	var out *StreamOutcome
+	res, err := rt.post(ctx, "/v1/scenario", key, body, ContentTypeNDJSON, func(r io.Reader) error {
+		var err error
+		if out, err = consumeScenarioStream(r, onEvent); err != nil && out.Events > 0 {
+			return &delivered{err}
+		}
+		return err
+	})
+	// Tag a mid-stream death with the shard, so the caller knows who died.
+	var se *StreamError
+	if errors.As(err, &se) {
+		se.Shard = res.Shard
 	}
-	return nil, res, fmt.Errorf("router: key %q failed on all replicas after %d passes: %w", key, rt.cfg.maxPasses(), lastErr)
+	return out, res, err
 }

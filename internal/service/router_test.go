@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -280,6 +281,9 @@ func TestHammerRouterBalance(t *testing.T) {
 	}
 	if skew := rep.MaxShardSkew(); skew > 2 {
 		t.Fatalf("shard skew %.2f > 2: %s", skew, rep.ShardLine())
+	}
+	if rep.ThroughputRPS() <= 0 || rep.P99 < rep.P50 || !strings.Contains(rep.String(), "balance") {
+		t.Fatalf("implausible report %s", rep)
 	}
 	for i, b := range bodies {
 		if len(b) == 0 {

@@ -41,11 +41,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -156,11 +158,11 @@ func New(cfg Config) *Server {
 		s.peers = newPeerFetcher(cfg.Fleet)
 	}
 	s.ready.Store(true)
-	s.mux.HandleFunc("POST /v1/search", s.handleSearch)
-	s.mux.HandleFunc("POST /v1/run", s.handleRun)
-	s.mux.HandleFunc("POST /v1/grid", s.handleGrid)
-	s.mux.HandleFunc("POST /v1/scenario", s.handleScenario)
-	s.mux.HandleFunc("POST /v1/joint", s.handleJoint)
+	s.mux.HandleFunc("POST /v1/search", endpoint(s, &s.inflightSearch, s.searchPlan))
+	s.mux.HandleFunc("POST /v1/run", endpoint(s, &s.inflightRun, s.runPlan))
+	s.mux.HandleFunc("POST /v1/grid", endpoint(s, &s.inflightGrid, s.gridPlan))
+	s.mux.HandleFunc("POST /v1/scenario", endpoint(s, &s.inflightScenario, s.scenarioPlan))
+	s.mux.HandleFunc("POST /v1/joint", endpoint(s, &s.inflightJoint, s.jointPlan))
 	s.mux.HandleFunc("GET /v1/trace/{key}", s.handleTrace)
 	s.mux.HandleFunc("GET /v1/ring", s.handleRing)
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
@@ -181,7 +183,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Cache exposes the trace cache (the selftest inspects its stats).
+// Cache exposes the trace cache (tests and the benchmark inspect and seed it).
 func (s *Server) Cache() *TraceCache { return s.cache }
 
 // SetReady flips the /v1/readyz answer. main calls SetReady(false) when a
@@ -238,11 +240,6 @@ func (q Query) Options() driver.Options {
 // key is the trace-cache identity of the query.
 func (q Query) key(entry apps.Entry) TraceKey {
 	return TraceKey{App: entry.Name, Scale: q.scale(), Seed: q.Seed}
-}
-
-// resolve validates the query's application and model names.
-func resolve(q Query) (apps.Entry, func() enclave.Model, error) {
-	return Resolve(q.App, q.Model)
 }
 
 // Resolve maps an application name (catalog alias or paper label) and a
@@ -378,19 +375,27 @@ func (s *Server) retryAfterValue() string {
 	return strconv.FormatFloat(secs, 'f', 3, 64)
 }
 
-// decodeBody parses a JSON request body, bounded by maxRequestBody.
+// decodeBody parses a JSON request body, bounded by maxRequestBody. The
+// body must be exactly one JSON value: anything after it but whitespace
+// is rejected, not silently ignored.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return fmt.Errorf("request body exceeds %d bytes: %w", mbe.Limit, errBodyTooLarge)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
 		}
-		return fmt.Errorf("bad request body: %w", err)
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return nil
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return fmt.Errorf("request body exceeds %d bytes: %w", mbe.Limit, errBodyTooLarge)
+	}
+	return fmt.Errorf("bad request body: %w", err)
 }
 
 // decodeStatus picks the status for a decodeBody error.
@@ -441,30 +446,65 @@ type outcome struct {
 	err  error
 }
 
-// admit takes an execution slot for the request, shedding with 503 +
-// Retry-After when the server is saturated. On success the slot is held
-// until the admitted work settles (respond releases it), not until the
-// handler returns — a timed-out request's background work occupies its
-// slot until a cancellation checkpoint stops it, which is exactly the
+// plan is a validated POST request, ready for admission: its timeout_ms
+// and the work that computes its response.
+type plan struct {
+	timeoutMs int64
+	work      func(ctx context.Context) outcome
+	// stream, when set, answers in place of respond (the streamed
+	// scenario): it writes the response itself and releases the admission
+	// slot when its work settles.
+	stream func(ctx context.Context, w http.ResponseWriter, r *http.Request)
+}
+
+// endpoint is the one request path of every POST simulation endpoint:
+// count the request in flight, decode the body (400, or 413 past the size
+// cap), validate it (400, before any work), derive the deadline, take an
+// admission slot (503 + Retry-After when saturated), then respond.
+// prepare is the endpoint's own part: its validation and its work.
+//
+// The admission slot is held until the admitted work settles, not until
+// the handler returns — a timed-out request's background work occupies
+// its slot until a cancellation checkpoint stops it, which is exactly the
 // capacity the gate is protecting.
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter) bool {
-	if err := s.gate.acquire(ctx); err != nil {
-		s.writeWorkError(w, err)
-		return false
+func endpoint[R any](s *Server, inflight *atomic.Int64, prepare func(req *R) (plan, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		inflight.Add(1)
+		defer inflight.Add(-1)
+		var req R
+		if err := decodeBody(w, r, &req); err != nil {
+			writeError(w, decodeStatus(err), err)
+			return
+		}
+		p, err := prepare(&req)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		ctx, cancel := s.requestContext(r, p.timeoutMs)
+		defer cancel()
+		if err := s.gate.acquire(ctx); err != nil {
+			s.writeWorkError(w, err)
+			return
+		}
+		if p.stream != nil {
+			p.stream(ctx, w, r)
+			return
+		}
+		s.respond(ctx, w, p.work)
 	}
-	return true
 }
 
 // respond runs work on its own goroutine and writes its outcome, mapping
 // a ctx expiry to 504 while the work finishes in the background (a
 // timed-out capture still fills the cache; see the package doc). The
-// caller must have passed admit: the admission slot is released when the
-// work settles.
-func (s *Server) respond(ctx context.Context, w http.ResponseWriter, work func() outcome) {
+// caller must hold an admission slot: it is released when the work
+// settles.
+func (s *Server) respond(ctx context.Context, w http.ResponseWriter, work func(context.Context) outcome) {
 	ch := make(chan outcome, 1)
 	go func() {
 		defer s.gate.release()
-		ch <- work()
+		ch <- work(ctx)
 	}()
 	select {
 	case o := <-ch:
@@ -521,30 +561,46 @@ func (s *Server) getTrace(ctx context.Context, entry apps.Entry, key TraceKey, o
 	}
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	s.inflightSearch.Add(1)
-	defer s.inflightSearch.Add(-1)
-	var q Query
-	if err := decodeBody(w, r, &q); err != nil {
-		writeError(w, decodeStatus(err), err)
-		return
+// sharedTraces resolves the seed-independent traces that scenario phases
+// and joint co-runs replay: one application at one scale is cached under
+// seed 0 (the seed steers timelines, run seeds and attestation keys,
+// never the recorded stream), so one capture serves every such request.
+// worst reports the most expensive source any resolution touched — the
+// X-Ironhide-Cache value of the whole response. traceFor is safe for
+// concurrent use.
+func (s *Server) sharedTraces(ctx context.Context) (traceFor func(apps.Entry, float64) (*trace.Trace, error), worst func() string) {
+	var mu sync.Mutex
+	rank := map[string]int{srcHit: 0, srcStore: 1, srcPeer: 2, srcCapture: 3}
+	worstSrc := srcHit
+	traceFor = func(entry apps.Entry, scale float64) (*trace.Trace, error) {
+		tr, src, err := s.getTrace(ctx, entry, TraceKey{App: entry.Name, Scale: scale}, driver.Options{Scale: scale})
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		if rank[src] > rank[worstSrc] {
+			worstSrc = src
+		}
+		mu.Unlock()
+		return tr, nil
 	}
-	entry, mf, err := resolve(q)
+	worst = func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return worstSrc
+	}
+	return traceFor, worst
+}
+
+func (s *Server) searchPlan(q *Query) (plan, error) {
+	entry, mf, err := Resolve(q.App, q.Model)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return plan{}, err
 	}
 	if mf().Temporal() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("model %s time-shares the whole machine and has no cluster binding to search", mf().Name()))
-		return
+		return plan{}, fmt.Errorf("model %s time-shares the whole machine and has no cluster binding to search", mf().Name())
 	}
-	ctx, cancel := s.requestContext(r, q.TimeoutMs)
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	s.respond(ctx, w, func() outcome {
+	return plan{timeoutMs: q.TimeoutMs, work: func(ctx context.Context) outcome {
 		tr, src, err := s.getTrace(ctx, entry, q.key(entry), q.Options())
 		if err != nil {
 			return outcome{err: err}
@@ -573,28 +629,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			PurgeCycles:      res.PurgeCycles,
 			ReconfigCycles:   res.ReconfigCycles,
 		}}
-	})
+	}}, nil
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.inflightRun.Add(1)
-	defer s.inflightRun.Add(-1)
-	var q Query
-	if err := decodeBody(w, r, &q); err != nil {
-		writeError(w, decodeStatus(err), err)
-		return
-	}
-	entry, mf, err := resolve(q)
+func (s *Server) runPlan(q *Query) (plan, error) {
+	entry, mf, err := Resolve(q.App, q.Model)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return plan{}, err
 	}
-	ctx, cancel := s.requestContext(r, q.TimeoutMs)
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	s.respond(ctx, w, func() outcome {
+	return plan{timeoutMs: q.TimeoutMs, work: func(ctx context.Context) outcome {
 		tr, src, err := s.getTrace(ctx, entry, q.key(entry), q.Options())
 		if err != nil {
 			return outcome{err: err}
@@ -605,38 +648,26 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// The body is exactly the driver Result, so an online answer can be
 		// diffed byte-for-byte against the batch path.
 		return outcome{src: src, body: res, err: err}
-	})
+	}}, nil
 }
 
-func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
-	s.inflightGrid.Add(1)
-	defer s.inflightGrid.Add(-1)
-	var req GridRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, decodeStatus(err), err)
-		return
-	}
+func (s *Server) gridPlan(req *GridRequest) (plan, error) {
 	if len(req.Cells) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("empty grid"))
-		return
+		return plan{}, fmt.Errorf("empty grid")
 	}
 	if len(req.Cells) > MaxGridCells {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("grid of %d cells exceeds the %d-cell limit", len(req.Cells), MaxGridCells))
-		return
+		return plan{}, fmt.Errorf("grid of %d cells exceeds the %d-cell limit", len(req.Cells), MaxGridCells)
 	}
 	// Validate every cell before running any.
 	entries := make([]apps.Entry, len(req.Cells))
 	models := make([]func() enclave.Model, len(req.Cells))
 	for i, q := range req.Cells {
 		if q.TimeoutMs != 0 {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("cell %d: timeout_ms is per request, not per cell — set it on the grid", i))
-			return
+			return plan{}, fmt.Errorf("cell %d: timeout_ms is per request, not per cell — set it on the grid", i)
 		}
-		entry, mf, err := resolve(q)
+		entry, mf, err := Resolve(q.App, q.Model)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("cell %d: %w", i, err))
-			return
+			return plan{}, fmt.Errorf("cell %d: %w", i, err)
 		}
 		entries[i] = entry
 		models[i] = mf
@@ -645,12 +676,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 || workers > s.cfg.GridWorkers {
 		workers = s.cfg.GridWorkers
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	s.respond(ctx, w, func() outcome {
+	return plan{timeoutMs: req.TimeoutMs, work: func(ctx context.Context) outcome {
 		// Capture (or fetch) each distinct trace once, fanned out over the
 		// worker pool, so the grid shares captures across its cells.
 		type prefetched struct {
@@ -710,7 +736,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 			resp.Cells[i].Result = rr.Res
 		}
 		return outcome{body: resp}
-	})
+	}}, nil
 }
 
 // MaxScenarioEvents bounds one /v1/scenario timeline.
@@ -729,43 +755,28 @@ type ScenarioRequest struct {
 	Stream bool `json:"stream,omitempty"`
 }
 
-func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
-	s.inflightScenario.Add(1)
-	defer s.inflightScenario.Add(-1)
-	var req ScenarioRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, decodeStatus(err), err)
-		return
-	}
+func (s *Server) scenarioPlan(req *ScenarioRequest) (plan, error) {
 	// Fail fast on client mistakes: the timeline length, plus everything
 	// Spec.Validate can reject without simulating (model, application
 	// pool, and explicit-timeline semantics).
 	if n := len(req.Spec.Timeline); n > MaxScenarioEvents || (n == 0 && req.Spec.Events > MaxScenarioEvents) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("timeline exceeds the %d-event limit", MaxScenarioEvents))
-		return
+		return plan{}, fmt.Errorf("timeline exceeds the %d-event limit", MaxScenarioEvents)
 	}
 	if err := req.Spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
+		return plan{}, err
 	}
 	if req.Stream {
-		s.streamScenario(ctx, w, r, req)
-		return
+		return plan{timeoutMs: req.TimeoutMs, stream: func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+			s.streamScenario(ctx, w, r, req.Spec)
+		}}, nil
 	}
-	s.respond(ctx, w, func() outcome {
-		// Both response shapes share the engine options (trace resolution
-		// through the LRU cache, worst-source tracking); see
-		// Server.scenarioOptions. The blocking path reports the source as
-		// the X-Ironhide-Cache header.
-		opts, worst := s.scenarioOptions(ctx)
-		rep, err := scenario.Run(s.cfg.Arch, req.Spec, opts)
+	return plan{timeoutMs: req.TimeoutMs, work: func(ctx context.Context) outcome {
+		// The blocking path reports the worst trace source as the
+		// X-Ironhide-Cache header; the streamed one in its terminal chunk.
+		traceFor, worst := s.sharedTraces(ctx)
+		rep, err := scenario.Run(s.cfg.Arch, req.Spec, scenario.Options{Workers: s.cfg.GridWorkers, TraceFor: traceFor})
 		return outcome{src: worst(), body: rep, err: err}
-	})
+	}}, nil
 }
 
 // MaxJointTenants bounds one /v1/joint co-tenancy request.
@@ -788,61 +799,40 @@ type JointRequest struct {
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 }
 
-// handleJoint answers POST /v1/joint: the joint scheduler partitions the
+// jointPlan answers POST /v1/joint: the joint scheduler partitions the
 // machine between the requested tenants under each packing policy, scores
 // every partition by co-running the tenants' traces (cached through the
 // same trace levels as every other endpoint), and returns the ranked
 // sched.Report.
-func (s *Server) handleJoint(w http.ResponseWriter, r *http.Request) {
-	s.inflightJoint.Add(1)
-	defer s.inflightJoint.Add(-1)
-	var req JointRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, decodeStatus(err), err)
-		return
-	}
+func (s *Server) jointPlan(req *JointRequest) (plan, error) {
 	if len(req.Apps) < 2 || len(req.Apps) > MaxJointTenants {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("joint search needs 2..%d tenants, got %d", MaxJointTenants, len(req.Apps)))
-		return
+		return plan{}, fmt.Errorf("joint search needs 2..%d tenants, got %d", MaxJointTenants, len(req.Apps))
 	}
 	entries := make([]apps.Entry, len(req.Apps))
 	for i, alias := range req.Apps {
 		entry, err := apps.Find(alias)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return plan{}, err
 		}
 		entries[i] = entry
 	}
 	policies, err := sched.PolicyByName(req.Policy)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return plan{}, err
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	s.respond(ctx, w, func() outcome {
+	return plan{timeoutMs: req.TimeoutMs, work: func(ctx context.Context) outcome {
 		scale := req.Scale
 		if scale <= 0 {
 			scale = 1
 		}
-		worst := srcHit
-		rank := map[string]int{srcHit: 0, srcStore: 1, srcPeer: 2, srcCapture: 3}
+		traceFor, worst := s.sharedTraces(ctx)
 		tenants := make([]sched.Tenant, len(entries))
 		for i, entry := range entries {
-			key := TraceKey{App: entry.Name, Scale: scale}
-			tr, src, err := s.getTrace(ctx, entry, key, driver.Options{Scale: scale})
+			tr, err := traceFor(entry, scale)
 			if err != nil {
 				return outcome{err: err}
 			}
-			if rank[src] > rank[worst] {
-				worst = src
-			}
-			tenants[i] = sched.Tenant{Name: entries[i].Alias, Trace: tr}
+			tenants[i] = sched.Tenant{Name: entry.Alias, Trace: tr}
 		}
 		rep, err := sched.JointSearch(s.cfg.Arch, tenants, sched.Options{
 			Scale:       scale,
@@ -852,8 +842,8 @@ func (s *Server) handleJoint(w http.ResponseWriter, r *http.Request) {
 			Policies:    policies,
 			Interrupt:   ctxInterrupt(ctx),
 		})
-		return outcome{src: worst, body: rep, err: err}
-	})
+		return outcome{src: worst(), body: rep, err: err}
+	}}, nil
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -28,11 +27,15 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// post sends body as JSON; a json.RawMessage body goes on the wire as is.
 func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, []byte) {
 	t.Helper()
-	b, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
+	b, ok := body.(json.RawMessage)
+	if !ok {
+		var err error
+		if b, err = json.Marshal(body); err != nil {
+			t.Fatal(err)
+		}
 	}
 	resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(b))
 	if err != nil {
@@ -247,6 +250,13 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/grid", GridRequest{Cells: []Query{{App: "nope", Model: "IRONHIDE"}}}},
 		{"/v1/grid", GridRequest{Cells: []Query{{App: "sssp-graph", Model: "IRONHIDE", TimeoutMs: 50}}}}, // per-cell deadline: grid-level only
 		{"/v1/run", map[string]any{"app": "sssp-graph", "model": "IRONHIDE", "wat": 1}},
+		// Raw bodies: one valid JSON value followed by anything but
+		// whitespace is rejected, not silently truncated.
+		{"/v1/run", json.RawMessage(`{"app":"sssp-graph","model":"IRONHIDE"} junk`)},
+		{"/v1/search", json.RawMessage(`{"app":"sssp-graph","model":"IRONHIDE"}{"app":"aes-query"}`)},
+		{"/v1/grid", json.RawMessage(`{"cells":[{"app":"sssp-graph","model":"IRONHIDE"}]} 7`)},
+		{"/v1/scenario", json.RawMessage(`{"seed":1,"apps":["sssp-graph"],"events":2}]`)},
+		{"/v1/joint", json.RawMessage(`{"apps":["aes-query","sssp-graph"]} null`)},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts, tc.path, tc.body)
@@ -284,29 +294,5 @@ func TestStatus(t *testing.T) {
 	}
 	if st.InFlight.Search != 0 || st.InFlight.Run != 0 || st.InFlight.Grid != 0 {
 		t.Fatalf("in-flight counts should be zero at rest: %+v", st.InFlight)
-	}
-}
-
-// Hammer's report math: percentiles over a known latency ladder.
-func TestHammerReport(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "{}")
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-	targets, err := QueryTargets(ts.URL+"/v1/run", []Query{{App: "a"}, {App: "b"}, {App: "c"}, {App: "d"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := Hammer("smoke", ts.Client(), targets, 2)
-	if rep.Requests != 4 || rep.Errors != 0 {
-		t.Fatalf("report %+v: want 4 requests, 0 errors", rep)
-	}
-	if rep.ThroughputRPS() <= 0 || rep.P99 < rep.P50 {
-		t.Fatalf("implausible report %+v", rep)
-	}
-	if rep.String() == "" {
-		t.Fatal("empty report line")
 	}
 }

@@ -3,7 +3,7 @@
 // terminal chunk carrying the full Report. The terminal report is the
 // compact encoding of exactly the blocking response body — re-indenting
 // it with two spaces and a trailing newline reproduces the blocking body
-// byte-for-byte, which the stream selftest and the router tests assert.
+// byte-for-byte, which the stream and router tests assert.
 //
 // Failure semantics are split at the first byte. Before any chunk is
 // written the response is still a plain JSON status (400/503/504/...) and
@@ -19,14 +19,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
-	"sync"
 
-	"ironhide/internal/apps"
-	"ironhide/internal/driver"
 	"ironhide/internal/scenario"
-	"ironhide/internal/trace"
 )
 
 // Stream content types.
@@ -102,44 +99,11 @@ func (f *streamFramer) write(chunk ScenarioStreamEvent) error {
 	return nil
 }
 
-// scenarioOptions builds the engine options every /v1/scenario run shares:
-// phases resolve per-application traces through the LRU cache (scenario
-// traces are seed-independent — the seed steers the timeline and
-// attestation keys, never the recorded stream — so they are cached under
-// seed 0 and shared across scenario seeds), and the returned worst()
-// reports the most expensive source any phase touched.
-func (s *Server) scenarioOptions(ctx context.Context) (scenario.Options, func() string) {
-	var mu sync.Mutex
-	worst := srcHit
-	rank := map[string]int{srcHit: 0, srcStore: 1, srcPeer: 2, srcCapture: 3}
-	opts := scenario.Options{
-		Workers: s.cfg.GridWorkers,
-		TraceFor: func(entry apps.Entry, scale float64) (*trace.Trace, error) {
-			key := TraceKey{App: entry.Name, Scale: scale}
-			tr, src, err := s.getTrace(ctx, entry, key, driver.Options{Scale: scale})
-			if err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			if rank[src] > rank[worst] {
-				worst = src
-			}
-			mu.Unlock()
-			return tr, nil
-		},
-	}
-	return opts, func() string {
-		mu.Lock()
-		defer mu.Unlock()
-		return worst
-	}
-}
-
 // streamScenario answers a /v1/scenario request with stream:true. The
-// caller must have validated the request and passed admit; the admission
+// caller must have validated the request and hold an admission slot; the
 // slot is released when the engine settles, exactly like the blocking
 // path.
-func (s *Server) streamScenario(ctx context.Context, w http.ResponseWriter, r *http.Request, req ScenarioRequest) {
+func (s *Server) streamScenario(ctx context.Context, w http.ResponseWriter, r *http.Request, spec scenario.Spec) {
 	type runResult struct {
 		rep *scenario.Report
 		src string
@@ -153,14 +117,17 @@ func (s *Server) streamScenario(ctx context.Context, w http.ResponseWriter, r *h
 	res := make(chan runResult, 1)
 	go func() {
 		defer s.gate.release()
-		opts, worst := s.scenarioOptions(ctx)
-		opts.Sink = func(ev scenario.StreamEvent) {
-			select {
-			case events <- ev:
-			case <-ctx.Done():
-			}
-		}
-		rep, err := scenario.Run(s.cfg.Arch, req.Spec, opts)
+		traceFor, worst := s.sharedTraces(ctx)
+		rep, err := scenario.Run(s.cfg.Arch, spec, scenario.Options{
+			Workers:  s.cfg.GridWorkers,
+			TraceFor: traceFor,
+			Sink: func(ev scenario.StreamEvent) {
+				select {
+				case events <- ev:
+				case <-ctx.Done():
+				}
+			},
+		})
 		close(events)
 		res <- runResult{rep: rep, src: worst(), err: err}
 	}()
@@ -248,9 +215,9 @@ type StreamOutcome struct {
 
 // consumeScenarioStream decodes a 2xx streamed response body (NDJSON
 // framing). onEvent, if non-nil, fires per engine event in order.
-func consumeScenarioStream(resp *http.Response, onEvent func(scenario.StreamEvent)) (*StreamOutcome, error) {
+func consumeScenarioStream(body io.Reader, onEvent func(scenario.StreamEvent)) (*StreamOutcome, error) {
 	out := &StreamOutcome{}
-	dec := json.NewDecoder(resp.Body)
+	dec := json.NewDecoder(body)
 	for {
 		var chunk ScenarioStreamEvent
 		if err := dec.Decode(&chunk); err != nil {

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,58 +29,73 @@ func streamSpec() ScenarioRequest {
 	}}
 }
 
-// TestScenarioStreamMatchesBlocking is the tentpole contract: the
-// streamed response's terminal report reconstructs the blocking body
-// byte-for-byte, for the same Spec, at any worker count — here the
-// server-side fan-out at 1 and 4 workers, both diffed against the
-// blocking oracle.
+// TestScenarioStreamMatchesBlocking is the tentpole contract: under every
+// reconfiguration policy, the streamed response's terminal report
+// reconstructs the blocking body byte-for-byte at any worker count — here
+// the server-side fan-out at 1 and 4 workers, both diffed against the
+// blocking oracle — and the event sequences themselves marshal to the
+// same bytes at both worker counts.
 func TestScenarioStreamMatchesBlocking(t *testing.T) {
-	req := streamSpec()
 	_, blockingTS := testServer(t, Config{GridWorkers: 4})
-	resp, blocking := post(t, blockingTS, "/v1/scenario", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("blocking status %d: %s", resp.StatusCode, blocking)
-	}
-
+	clients := map[int]*Client{}
 	for _, workers := range []int{1, 4} {
 		_, ts := testServer(t, Config{GridWorkers: workers})
-		c := &Client{BaseURL: ts.URL, HTTP: ts.Client()}
-		var events []scenario.StreamEvent
-		out, err := c.ScenarioStream(context.Background(), req, func(ev scenario.StreamEvent) {
-			events = append(events, ev)
-		})
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
+		clients[workers] = &Client{BaseURL: ts.URL, HTTP: ts.Client()}
+	}
+
+	for _, policy := range scenario.ReconfigPolicyNames() {
+		req := streamSpec()
+		req.Spec.ReconfigPolicy = policy
+		resp, blocking := post(t, blockingTS, "/v1/scenario", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: blocking status %d: %s", policy, resp.StatusCode, blocking)
 		}
-		if !bytes.Equal(out.Body, blocking) {
-			t.Fatalf("workers %d: streamed terminal report is not the blocking body:\n%s\nvs\n%s",
-				workers, out.Body, blocking)
-		}
-		if out.Events != len(events) || out.Events == 0 {
-			t.Fatalf("workers %d: %d events delivered, callback saw %d", workers, out.Events, len(events))
-		}
-		if out.Cache != srcCapture && out.Cache != srcHit {
-			t.Fatalf("workers %d: cache source %q", workers, out.Cache)
-		}
-		// The event sequence must cover the timeline: one phase-complete
-		// per phase, in order, plus at least the arrival/departure events.
-		var phases, arrivals, departs int
-		for _, ev := range events {
-			switch ev.Type {
-			case scenario.EvPhaseComplete:
-				if ev.Phase != phases {
-					t.Fatalf("workers %d: phase-complete out of order: got %d, want %d", workers, ev.Phase, phases)
+
+		eventBytes := map[int][]byte{}
+		for _, workers := range []int{1, 4} {
+			var events []scenario.StreamEvent
+			out, err := clients[workers].ScenarioStream(context.Background(), req, func(ev scenario.StreamEvent) {
+				events = append(events, ev)
+			})
+			if err != nil {
+				t.Fatalf("%s, workers %d: %v", policy, workers, err)
+			}
+			if !bytes.Equal(out.Body, blocking) {
+				t.Fatalf("%s, workers %d: streamed terminal report is not the blocking body:\n%s\nvs\n%s",
+					policy, workers, out.Body, blocking)
+			}
+			if out.Events != len(events) || out.Events == 0 {
+				t.Fatalf("%s, workers %d: %d events delivered, callback saw %d", policy, workers, out.Events, len(events))
+			}
+			if out.Cache != srcCapture && out.Cache != srcHit {
+				t.Fatalf("%s, workers %d: cache source %q", policy, workers, out.Cache)
+			}
+			// The event sequence must cover the timeline: one phase-complete
+			// per phase, in order, plus at least the arrival/departure events.
+			var phases, arrivals, departs int
+			for _, ev := range events {
+				switch ev.Type {
+				case scenario.EvPhaseComplete:
+					if ev.Phase != phases {
+						t.Fatalf("%s, workers %d: phase-complete out of order: got %d, want %d", policy, workers, ev.Phase, phases)
+					}
+					phases++
+				case scenario.EvTenantArrive:
+					arrivals++
+				case scenario.EvTenantDepart:
+					departs++
 				}
-				phases++
-			case scenario.EvTenantArrive:
-				arrivals++
-			case scenario.EvTenantDepart:
-				departs++
+			}
+			if phases != len(out.Report.Phases) || arrivals != 2 || departs != 1 {
+				t.Fatalf("%s, workers %d: %d phase-completes (%d phases), %d arrivals, %d departs",
+					policy, workers, phases, len(out.Report.Phases), arrivals, departs)
+			}
+			if eventBytes[workers], err = json.Marshal(events); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if phases != len(out.Report.Phases) || arrivals != 2 || departs != 1 {
-			t.Fatalf("workers %d: %d phase-completes (%d phases), %d arrivals, %d departs",
-				workers, phases, len(out.Report.Phases), arrivals, departs)
+		if !bytes.Equal(eventBytes[1], eventBytes[4]) {
+			t.Fatalf("%s: event streams diverge across worker counts:\n%s\nvs\n%s", policy, eventBytes[1], eventBytes[4])
 		}
 	}
 }
@@ -306,36 +320,4 @@ func TestRouterScenarioStreamMidStreamDeath(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestHammerScenarioStream drives the routed stream loadgen against a
-// healthy fleet: every body is the same blocking oracle, events flow, and
-// nothing errors.
-func TestHammerScenarioStream(t *testing.T) {
-	_, _, rt := routedFleet(t, 41)
-	req := streamSpec()
-	targets := make([]ScenarioRequest, 4)
-	for i := range targets {
-		targets[i] = req
-	}
-	rep, bodies := HammerScenarioStream("stream", rt, targets, 2)
-	if rep.Errors != 0 {
-		t.Fatalf("errors: %s", rep.FirstError)
-	}
-	if rep.StreamEvents == 0 {
-		t.Fatal("no stream events recorded")
-	}
-	for i := 1; i < len(bodies); i++ {
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("body %d diverged", i)
-		}
-	}
-	if len(bodies[0]) == 0 {
-		t.Fatal("empty reconstructed body")
-	}
-	// The loadgen line must surface for humans without panicking.
-	if s := rep.String(); !strings.Contains(s, "stream") {
-		t.Fatalf("loadgen line %q", s)
-	}
-	_ = fmt.Sprintf("%s", rep.ShardLine())
 }
