@@ -572,7 +572,7 @@ func BenchmarkCoTenantReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		co, err = driver.CoRunTraces(cfg, cotenants, driver.CoRunOptions{
-			Scale: scale, SecureCores: res.SecureCores, Contention: true, Seed: 42,
+			Scale: scale, SecureCores: res.SecureCores, Seed: 42,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -31,9 +31,8 @@
 // all host cores) with deterministic per-job seeds, so any worker count
 // emits identical reports. Grids record each application once and replay
 // the captured operation stream across the model axis and the binding
-// searches (-no-replay restores live payload execution; results are
-// identical either way), and each exhaustive Optimal search can probe
-// candidates on -search-workers concurrent workers. -format selects the
+// searches, and each exhaustive Optimal search can probe candidates on
+// -search-workers concurrent workers. -format selects the
 // emitter; -out writes one file per experiment report
 // (<name>.txt/.csv/.json) instead of stdout. -cpuprofile writes a pprof
 // CPU profile of the run for the performance workflow documented in the
@@ -69,7 +68,6 @@ func main() {
 	trials := flag.Int("trials", 96, "covert-channel trials for the attack experiment")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count for the job grids (1 = sequential; results are identical at any count)")
 	searchWorkers := flag.Int("search-workers", 1, "worker count for each exhaustive Optimal binding search (1 = sequential; results are identical at any count)")
-	noReplay := flag.Bool("no-replay", false, "execute the live payload for every probe and cell instead of sharing record-once/replay-many traces (slower; results are identical)")
 	coTenancy := flag.Bool("cotenancy", false, "space-share the scenario experiment's residents on disjoint sub-gangs (joint scheduler) instead of time-sharing")
 	reconfigPolicy := flag.String("reconfig-policy", "", "scenario resize-decision policy: always, hysteresis or costaware (default: always)")
 	format := flag.String("format", "text", "report format: text, csv or json")
@@ -110,7 +108,7 @@ func main() {
 	cfg := arch.TileGx72Scaled(*dilation)
 	ec := experiments.Config{
 		Scale: *scale, Stride: *stride, Parallel: *parallel, BaseSeed: *seed,
-		SearchWorkers: *searchWorkers, NoReplay: *noReplay, CoTenancy: *coTenancy,
+		SearchWorkers: *searchWorkers, CoTenancy: *coTenancy,
 		ReconfigPolicy: *reconfigPolicy, Apps: appNames,
 	}
 

@@ -25,10 +25,8 @@ import (
 	"ironhide/internal/arch"
 	"ironhide/internal/cache"
 	"ironhide/internal/core"
-	"ironhide/internal/ipc"
 	"ironhide/internal/sim"
 	"ironhide/internal/trace"
-	"ironhide/internal/workload"
 )
 
 // CoTenant is one tenant of a space-shared co-run: a captured trace plus
@@ -57,11 +55,6 @@ type CoRunOptions struct {
 	// SecureCores is the secure-cluster size the tenants' sub-gangs
 	// partition (0 = half the machine, the paper's starting split).
 	SecureCores int
-	// Contention enables the NoC link-contention accounting: each tenant's
-	// packets pay Cfg.LinkContentionLat per mesh link taken over from a
-	// different tenant, and the per-tenant conflict counters feed the
-	// interference report. Off, link sharing affects traffic counters only.
-	Contention bool
 	// Active marks which tenants execute rounds (nil = all). Inactive
 	// tenants are still attested and initialized — their pages are mapped
 	// and placed exactly as in the fully active co-run — so a single-active
@@ -95,9 +88,9 @@ type CoTenantResult struct {
 	Interactions     int64 `json:"interactions"`
 	Rounds           int   `json:"rounds"`
 
-	// LinkConflicts counts this tenant's NoC contention events (packets
-	// that took a mesh link over from a different tenant); always zero
-	// when CoRunOptions.Contention is off or the tenant's links are
+	// LinkConflicts counts this tenant's NoC contention events: packets
+	// that took a mesh link over from a different tenant, each paying
+	// Cfg.LinkContentionLat. Always zero when the tenant's links are
 	// disjoint from every co-runner's.
 	LinkConflicts int64 `json:"link_conflicts"`
 
@@ -126,29 +119,12 @@ type CoRunResult struct {
 	BlockedAccesses int64 `json:"blocked_accesses"`
 }
 
-// coTenantState is the per-tenant pipeline state of one co-run.
+// coTenantState is one tenant of a co-run: its pipeline on its own gangs
+// and ring, and the cores its counters are read from.
 type coTenantState struct {
-	app        *workload.App
-	ring       *ipc.Ring
-	gIns, gSec *sim.Group
-	secCores   []arch.CoreID
-	insCores   []arch.CoreID
-
-	active       bool
-	warmup       int
-	total        int // warmup + measured rounds
-	round        int
-	pEnd, cEnd   int64
-	measureStart int64
-	interactions int64
-}
-
-// frontier is the tenant's pipeline progress on the shared cycle horizon.
-func (ts *coTenantState) frontier() int64 {
-	if ts.cEnd > ts.pEnd {
-		return ts.cEnd
-	}
-	return ts.pEnd
+	p                  pipeline
+	secCores, insCores []arch.CoreID
+	active             bool
 }
 
 // CoRunTraces replays the tenants' traces simultaneously on one machine,
@@ -208,37 +184,29 @@ func CoRunTraces(cfg arch.Config, tenants []CoTenant, opts CoRunOptions) (*CoRun
 		m.SetSlices(arch.Insecure, orSlices(t.InsecureSlices, clusterInsSlices))
 		m.SetAllocRegions(arch.Secure, t.SecureRegions)
 		m.SetAllocRegions(arch.Insecure, t.InsecureRegions)
-		insSpace := m.NewSpace(app.Insecure.Name(), arch.Insecure)
-		secSpace := m.NewSpace(app.Secure.Name(), arch.Secure)
-		app.Insecure.Init(m, insSpace)
-		app.Secure.Init(m, secSpace)
-		ringBytes := app.PayloadBytes + app.ReplyBytes
-		if ringBytes < 4096 {
-			ringBytes = 4096
-		}
-		ringBytes = (ringBytes + cfg.LineSize - 1) / cfg.LineSize * cfg.LineSize
-		ring, err := ipc.NewRing(insSpace, cfg.LineSize, ringBytes*4)
+		ring, err := initApp(m, app)
 		if err != nil {
 			return nil, err
 		}
 
-		sec := gangCores(t.SecureCores, app.Secure.Threads())
-		ins := gangCores(t.InsecureCores, app.Insecure.Threads())
-		gIns := m.NewGroup(arch.Insecure, ins, 0)
-		gSec := m.NewGroup(arch.Secure, sec, 0)
+		ts := &coTenantState{
+			secCores: gangCores(t.SecureCores, app.Secure.Threads()),
+			insCores: gangCores(t.InsecureCores, app.Insecure.Threads()),
+			active:   opts.Active == nil || opts.Active[i],
+		}
+		// A tenant's measurement window resets only its own cores'
+		// counters: the shared L2 and controllers count the whole run.
+		ts.p = newPipeline(m, ring, app, ts.secCores, ts.insCores, app.Warmup, app.Rounds)
+		ts.p.open = func() {
+			resetCores(m, ts.secCores)
+			resetCores(m, ts.insCores)
+		}
 		// The trace was captured on a machine whose pages start at zero;
 		// this tenant's pages start at base. The gangs shift every
 		// replayed address accordingly.
-		gIns.SetAddrOffset(base)
-		gSec.SetAddrOffset(base)
-
-		states[i] = &coTenantState{
-			app: app, ring: ring, gIns: gIns, gSec: gSec,
-			secCores: sec, insCores: ins,
-			active: opts.Active == nil || opts.Active[i],
-			warmup: app.Warmup,
-			total:  app.Warmup + app.Rounds,
-		}
+		ts.p.gIns.SetAddrOffset(base)
+		ts.p.gSec.SetAddrOffset(base)
+		states[i] = ts
 	}
 	// Restore the cluster-wide placement defaults.
 	m.SetSlices(arch.Secure, clusterSecSlices)
@@ -246,11 +214,12 @@ func CoRunTraces(cfg arch.Config, tenants []CoTenant, opts CoRunOptions) (*CoRun
 	m.SetAllocRegions(arch.Secure, nil)
 	m.SetAllocRegions(arch.Insecure, nil)
 
-	if opts.Contention {
-		for i, ts := range states {
-			m.SetTenantCores(i+1, ts.secCores)
-			m.SetTenantCores(i+1, ts.insCores)
-		}
+	// Link-contention accounting: each tenant's packets pay
+	// Cfg.LinkContentionLat per mesh link taken over from a different
+	// tenant, and the per-tenant conflict counters feed the result.
+	for i, ts := range states {
+		m.SetTenantCores(i+1, ts.secCores)
+		m.SetTenantCores(i+1, ts.insCores)
 	}
 
 	// The co-run proper: always advance the active tenant whose pipeline
@@ -261,54 +230,38 @@ func CoRunTraces(cfg arch.Config, tenants []CoTenant, opts CoRunOptions) (*CoRun
 	// deterministic.
 	resetStats(m)
 	for {
-		pick := -1
-		var pickFrontier int64
-		for i, ts := range states {
-			if !ts.active || ts.round >= ts.total {
-				continue
-			}
-			if f := ts.frontier(); pick == -1 || f < pickFrontier {
-				pick, pickFrontier = i, f
+		var next *pipeline
+		for _, ts := range states {
+			if ts.active && !ts.p.done() && (next == nil || ts.p.frontier() < next.frontier()) {
+				next = &ts.p
 			}
 		}
-		if pick == -1 {
+		if next == nil {
 			break
 		}
-		if opts.Interrupt != nil {
-			if err := opts.Interrupt(); err != nil {
-				return nil, err
-			}
+		if err := poll(opts.Interrupt); err != nil {
+			return nil, err
 		}
-		coRunRound(m, states[pick])
+		next.step()
 	}
 
 	res := &CoRunResult{Tenants: make([]CoTenantResult, len(states))}
 	for i, ts := range states {
 		tr := CoTenantResult{
-			App:           ts.app.Name,
+			App:           ts.p.app.Name,
 			Active:        ts.active,
 			SecureCores:   len(ts.secCores),
 			InsecureCores: len(ts.insCores),
-			Rounds:        ts.app.Rounds,
+			Rounds:        ts.p.app.Rounds,
 			LinkConflicts: m.TenantConflicts(i + 1),
 		}
 		if ts.active {
-			tr.CompletionCycles = ts.frontier() - ts.measureStart
-			tr.Interactions = ts.interactions
-			if f := ts.frontier(); f > res.TotalCycles {
-				res.TotalCycles = f
-			}
+			tr.CompletionCycles = ts.p.completion()
+			tr.Interactions = ts.p.interactions
+			res.TotalCycles = max(res.TotalCycles, ts.p.frontier())
 		}
-		for _, c := range ts.secCores {
-			st := m.L1(c).Stats()
-			tr.L1Accesses += st.Accesses
-			tr.L1Misses += st.Misses
-		}
-		for _, c := range ts.insCores {
-			st := m.L1(c).Stats()
-			tr.L1Accesses += st.Accesses
-			tr.L1Misses += st.Misses
-		}
+		tr.L1Accesses, tr.L1Misses = addL1(m, ts.secCores, 0, 0)
+		tr.L1Accesses, tr.L1Misses = addL1(m, ts.insCores, tr.L1Accesses, tr.L1Misses)
 		res.Tenants[i] = tr
 	}
 	l2 := m.L2().AggregateStats()
@@ -319,47 +272,6 @@ func CoRunTraces(cfg arch.Config, tenants []CoTenant, opts CoRunOptions) (*CoRun
 	res.RouteViolations = m.RouteViolations()
 	res.BlockedAccesses = m.BlockedAccesses()
 	return res, nil
-}
-
-// coRunRound advances one tenant by one interaction round — the same
-// two-stage pipeline step as spatialCompletion's, on the tenant's own
-// gangs and ring. At the tenant's warmup boundary its measurement window
-// opens and its cores' private-cache counters reset.
-func coRunRound(m *sim.Machine, ts *coTenantState) {
-	r := ts.round
-	ts.gIns.Restart(ts.pEnd)
-	if r > 0 {
-		_ = ts.ring.Recv(ts.gIns.Ctx(0), ts.app.ReplyBytes)
-	}
-	ts.app.Insecure.Round(ts.gIns, r)
-	_ = ts.ring.Send(ts.gIns.Ctx(0), ts.app.PayloadBytes)
-	ts.pEnd = ts.gIns.MaxCycles()
-
-	cStart := ts.pEnd
-	if ts.cEnd > cStart {
-		cStart = ts.cEnd
-	}
-	ts.gSec.Restart(cStart)
-	_ = ts.ring.Recv(ts.gSec.Ctx(0), ts.app.PayloadBytes)
-	ts.app.Secure.Round(ts.gSec, r)
-	_ = ts.ring.Send(ts.gSec.Ctx(0), ts.app.ReplyBytes)
-	ts.cEnd = ts.gSec.MaxCycles()
-
-	ts.round++
-	if ts.round > ts.warmup {
-		ts.interactions += 2
-	}
-	if ts.round == ts.warmup {
-		ts.measureStart = ts.frontier()
-		for _, c := range ts.secCores {
-			m.L1(c).ResetStats()
-			m.TLB(c).ResetStats()
-		}
-		for _, c := range ts.insCores {
-			m.L1(c).ResetStats()
-			m.TLB(c).ResetStats()
-		}
-	}
 }
 
 // orSlices returns s, or def when s is nil (the share-everything default).
@@ -396,8 +308,8 @@ func validateCoTenants(cfg arch.Config, tenants []CoTenant, opts CoRunOptions) e
 		if t.Trace == nil {
 			return fmt.Errorf("driver: tenant %d has no trace", i)
 		}
-		if t.Trace.Scale != opts.scale() {
-			return fmt.Errorf("driver: tenant %d trace captured at scale %g cannot co-run at scale %g", i, t.Trace.Scale, opts.scale())
+		if err := checkScale(t.Trace, opts.scale(), "co-run"); err != nil {
+			return fmt.Errorf("%w (tenant %d)", err, i)
 		}
 		if len(t.SecureCores) == 0 || len(t.InsecureCores) == 0 {
 			return fmt.Errorf("driver: tenant %d needs cores in both clusters", i)

@@ -109,7 +109,7 @@ func TestCoRunDisjointMatchesSolo(t *testing.T) {
 	cfg := arch.TileGx72()
 	trA, trB := captureTwo(t, cfg)
 	tenants := disjointTenants(trA, trB)
-	opts := CoRunOptions{Contention: true, Seed: 7}
+	opts := CoRunOptions{Seed: 7}
 
 	co, err := CoRunTraces(cfg, tenants, opts)
 	if err != nil {
@@ -155,7 +155,7 @@ func TestCoRunOverlapInterferes(t *testing.T) {
 	cfg := arch.TileGx72()
 	trA, trB := captureTwo(t, cfg)
 	tenants := overlapTenants(trA, trB)
-	opts := CoRunOptions{Contention: true, Seed: 7}
+	opts := CoRunOptions{Seed: 7}
 
 	co, err := CoRunTraces(cfg, tenants, opts)
 	if err != nil {
@@ -203,7 +203,7 @@ func TestCoRunDeterministic(t *testing.T) {
 		func() []CoTenant { return disjointTenants(trA, trB) },
 		func() []CoTenant { return overlapTenants(trA, trB) },
 	} {
-		opts := CoRunOptions{Contention: true, Seed: 7}
+		opts := CoRunOptions{Seed: 7}
 		r1, err := CoRunTraces(cfg, mk(), opts)
 		if err != nil {
 			t.Fatal(err)

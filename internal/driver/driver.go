@@ -81,12 +81,12 @@ type Options struct {
 	Interrupt func() error
 }
 
-// interrupt polls the Interrupt hook (nil = never interrupt).
-func (o Options) interrupt() error {
-	if o.Interrupt == nil {
+// poll runs an Interrupt hook (nil = never interrupt).
+func poll(interrupt func() error) error {
+	if interrupt == nil {
 		return nil
 	}
-	return o.Interrupt()
+	return interrupt()
 }
 
 func (o Options) scale() float64 {
@@ -187,17 +187,14 @@ func (s traceSource) fresh() *workload.App {
 // path.
 func Run(cfg arch.Config, model enclave.Model, factory AppFactory, opts Options) (*Result, error) {
 	src := appSource(liveSource{factory: factory, scale: opts.scale()})
-	if model.Temporal() {
-		return runTemporal(cfg, model, src, opts)
-	}
-	if opts.FixedSecureCores <= 0 && !opts.NoReplay {
+	if !model.Temporal() && opts.FixedSecureCores <= 0 && !opts.NoReplay {
 		tr, err := CaptureTrace(cfg, factory, opts)
 		if err != nil {
 			return nil, err
 		}
 		src = traceSource{tr: tr}
 	}
-	return runSpatial(cfg, model, src, opts)
+	return runModel(cfg, model, src, opts)
 }
 
 // RunTrace executes a previously captured trace under the model — the
@@ -206,14 +203,7 @@ func Run(cfg arch.Config, model enclave.Model, factory AppFactory, opts Options)
 // model-independent. The trace must have been captured at the same
 // Options.Scale.
 func RunTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Options) (*Result, error) {
-	if tr.Scale != opts.scale() {
-		return nil, fmt.Errorf("driver: trace captured at scale %g cannot replay at scale %g", tr.Scale, opts.scale())
-	}
-	src := traceSource{tr: tr}
-	if model.Temporal() {
-		return runTemporal(cfg, model, src, opts)
-	}
-	return runSpatial(cfg, model, src, opts)
+	return replay(cfg, model, traceSource{tr: tr}, opts)
 }
 
 // RunTraceReference is RunTrace through the per-op reference replayer
@@ -221,14 +211,33 @@ func RunTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Option
 // gate: batch replay must be byte-identical to the reference interpreter,
 // which in turn is gated byte-identical to live execution.
 func RunTraceReference(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Options) (*Result, error) {
-	if tr.Scale != opts.scale() {
-		return nil, fmt.Errorf("driver: trace captured at scale %g cannot replay at scale %g", tr.Scale, opts.scale())
+	return replay(cfg, model, traceSource{tr: tr, reference: true}, opts)
+}
+
+// replay runs a captured trace once its capture scale checks out.
+func replay(cfg arch.Config, model enclave.Model, src traceSource, opts Options) (*Result, error) {
+	if err := checkScale(src.tr, opts.scale(), "replay"); err != nil {
+		return nil, err
 	}
-	src := traceSource{tr: tr, reference: true}
+	return runModel(cfg, model, src, opts)
+}
+
+// runModel drives the model's way of sharing the machine: time-shared
+// (SGX-like, MI6) or space-shared (the insecure baseline, IRONHIDE).
+func runModel(cfg arch.Config, model enclave.Model, src appSource, opts Options) (*Result, error) {
 	if model.Temporal() {
 		return runTemporal(cfg, model, src, opts)
 	}
 	return runSpatial(cfg, model, src, opts)
+}
+
+// checkScale rejects using a trace at a scale other than its capture's:
+// round counts and streams would not line up.
+func checkScale(tr *trace.Trace, scale float64, use string) error {
+	if tr.Scale != scale {
+		return fmt.Errorf("driver: trace captured at scale %g cannot %s at scale %g", tr.Scale, use, scale)
+	}
+	return nil
 }
 
 // CaptureTrace records one full execution of the application at
@@ -256,11 +265,12 @@ func CaptureTrace(cfg arch.Config, factory AppFactory, opts Options) (*trace.Tra
 	// stream is timing-independent, so run the payload in lite-exec mode
 	// (flat L1-hit charges, no machine walk).
 	m.SetLiteExec(true)
-	if _, _, err := spatialCompletion(m, ring, recApp, sec, ins, 0, rounds, opts.Interrupt); err != nil {
-		releaseMachine(m)
+	p := newPipeline(m, ring, recApp, sec, ins, 0, rounds)
+	err = p.run(opts.Interrupt)
+	releaseMachine(m)
+	if err != nil {
 		return nil, err
 	}
-	releaseMachine(m)
 	return rec.Trace(), nil
 }
 
@@ -371,20 +381,25 @@ func setup(cfg arch.Config, model enclave.Model, app *workload.App) (*sim.Machin
 	if err := model.Configure(m); err != nil {
 		return nil, nil, err
 	}
-	insSpace := m.NewSpace(app.Insecure.Name(), arch.Insecure)
-	secSpace := m.NewSpace(app.Secure.Name(), arch.Secure)
-	app.Insecure.Init(m, insSpace)
-	app.Secure.Init(m, secSpace)
-	ringBytes := app.PayloadBytes + app.ReplyBytes
-	if ringBytes < 4096 {
-		ringBytes = 4096
-	}
-	ringBytes = (ringBytes + cfg.LineSize - 1) / cfg.LineSize * cfg.LineSize
-	ring, err := ipc.NewRing(insSpace, cfg.LineSize, ringBytes*4)
+	ring, err := initApp(m, app)
 	if err != nil {
 		return nil, nil, err
 	}
 	return m, ring, nil
+}
+
+// initApp initializes both processes' address spaces and builds the IPC
+// ring in the insecure space: four slots of one payload plus one reply,
+// at least a page, line-aligned.
+func initApp(m *sim.Machine, app *workload.App) (*ipc.Ring, error) {
+	insSpace := m.NewSpace(app.Insecure.Name(), arch.Insecure)
+	secSpace := m.NewSpace(app.Secure.Name(), arch.Secure)
+	app.Insecure.Init(m, insSpace)
+	app.Secure.Init(m, secSpace)
+	line := m.Cfg.LineSize
+	ringBytes := max(app.PayloadBytes+app.ReplyBytes, 4096)
+	ringBytes = (ringBytes + line - 1) / line * line
+	return ipc.NewRing(insSpace, line, ringBytes*4)
 }
 
 // gangCores returns the first n cores of the list (a process never uses
@@ -397,11 +412,7 @@ func gangCores(all []arch.CoreID, threads int) []arch.CoreID {
 }
 
 func collectStats(m *sim.Machine, r *Result) {
-	for _, c := range m.AllCores() {
-		st := m.L1(c).Stats()
-		r.L1Accesses += st.Accesses
-		r.L1Misses += st.Misses
-	}
+	r.L1Accesses, r.L1Misses = addL1(m, m.AllCores(), r.L1Accesses, r.L1Misses)
 	l2 := m.L2().AggregateStats()
 	r.L2Accesses = l2.Accesses
 	r.L2Misses = l2.Misses
@@ -409,18 +420,35 @@ func collectStats(m *sim.Machine, r *Result) {
 	r.BlockedAccesses = m.BlockedAccesses()
 }
 
-func resetStats(m *sim.Machine) {
-	for _, c := range m.AllCores() {
-		m.L1(c).ResetStats()
-		m.TLB(c).ResetStats()
+// addL1 adds the cores' private-cache traffic to the running totals.
+func addL1(m *sim.Machine, cores []arch.CoreID, accesses, misses int64) (int64, int64) {
+	for _, c := range cores {
+		st := m.L1(c).Stats()
+		accesses += st.Accesses
+		misses += st.Misses
 	}
+	return accesses, misses
+}
+
+func resetStats(m *sim.Machine) {
+	resetCores(m, m.AllCores())
 	m.L2().ResetStats()
 	for _, id := range m.AllMCs() {
 		m.MC(id).ResetStats()
 	}
 }
 
-// runTemporal drives the SGX-like and MI6 models.
+// resetCores clears the cores' private-cache and TLB counters.
+func resetCores(m *sim.Machine, cores []arch.CoreID) {
+	for _, c := range cores {
+		m.L1(c).ResetStats()
+		m.TLB(c).ResetStats()
+	}
+}
+
+// runTemporal drives the SGX-like and MI6 models: both processes
+// time-share the whole machine, so each round is one serial pass through
+// the pipeline with the enclave entry and exit protocols between stages.
 func runTemporal(cfg arch.Config, model enclave.Model, src appSource, opts Options) (*Result, error) {
 	app := src.fresh()
 	if err := app.Validate(); err != nil {
@@ -435,132 +463,136 @@ func runTemporal(cfg arch.Config, model enclave.Model, src appSource, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{App: app.String(), Class: app.Class, Model: model.Name(), Rounds: app.Rounds}
 	all := m.AllCores()
-	insCores := gangCores(all, app.Insecure.Threads())
 	secCores := gangCores(all, app.Secure.Threads())
-
-	var t int64
-	var entryExit, purge int64
-	var interactions int64
-	charge := func(c int64) {
-		t += c
-		if model.StrongIsolation() {
-			purge += c
-		} else {
-			entryExit += c
-		}
+	p := newPipeline(m, ring, app, secCores, gangCores(all, app.Insecure.Threads()), app.Warmup, app.Rounds)
+	p.protocol = model
+	if err := p.run(opts.Interrupt); err != nil {
+		releaseMachine(m)
+		return nil, err
 	}
-
-	var measureStart int64
-	gIns := m.NewGroup(arch.Insecure, insCores, 0)
-	gSec := m.NewGroup(arch.Secure, secCores, 0)
-	runRound := func(r int, measured bool) {
-		gIns.Restart(t)
-		if r > 0 {
-			_ = ring.Recv(gIns.Ctx(0), app.ReplyBytes)
-		}
-		app.Insecure.Round(gIns, r)
-		_ = ring.Send(gIns.Ctx(0), app.PayloadBytes)
-		t = gIns.MaxCycles()
-
-		charge(model.EnterSecure(m))
-		gSec.Restart(t)
-		_ = ring.Recv(gSec.Ctx(0), app.PayloadBytes)
-		app.Secure.Round(gSec, r)
-		_ = ring.Send(gSec.Ctx(0), app.ReplyBytes)
-		t = gSec.MaxCycles()
-		charge(model.ExitSecure(m))
-		if measured {
-			interactions += 2 // one entry + one exit
-		}
+	res := &Result{App: app.String(), Class: app.Class, Model: model.Name(), Rounds: app.Rounds,
+		CompletionCycles: p.completion(), Interactions: p.interactions, SecureCores: len(secCores)}
+	if model.StrongIsolation() {
+		res.PurgeCycles = p.charged
+	} else {
+		res.EntryExitCycles = p.charged
 	}
-
-	for r := 0; r < app.Warmup; r++ {
-		if err := opts.interrupt(); err != nil {
-			releaseMachine(m)
-			return nil, err
-		}
-		runRound(r, false)
-	}
-	resetStats(m)
-	measureStart = t
-	entryExit, purge = 0, 0
-	for r := 0; r < app.Rounds; r++ {
-		if err := opts.interrupt(); err != nil {
-			releaseMachine(m)
-			return nil, err
-		}
-		runRound(app.Warmup+r, true)
-	}
-	res.CompletionCycles = t - measureStart
-	res.EntryExitCycles = entryExit
-	res.PurgeCycles = purge
-	res.Interactions = interactions
-	res.SecureCores = len(secCores)
 	collectStats(m, res)
 	releaseMachine(m)
 	return res, nil
 }
 
-// spatialCompletion runs the two-stage pipeline on a configured machine
-// and returns (completion cycles, interactions) for the measured rounds.
-// interrupt (nil = never) is polled at every round boundary; a non-nil
-// return aborts the pipeline mid-run.
-func spatialCompletion(m *sim.Machine, ring *ipc.Ring, app *workload.App, secCores, insCores []arch.CoreID, warmup, rounds int, interrupt func() error) (int64, int64, error) {
-	var pEnd, cEnd int64
-	var interactions int64
-	var measureStart int64
-	gP := m.NewGroup(arch.Insecure, insCores, 0)
-	gC := m.NewGroup(arch.Secure, secCores, 0)
-	runRound := func(r int, measured bool) {
-		gP.Restart(pEnd)
-		if r > 0 {
-			_ = ring.Recv(gP.Ctx(0), app.ReplyBytes)
-		}
-		app.Insecure.Round(gP, r)
-		_ = ring.Send(gP.Ctx(0), app.PayloadBytes)
-		pEnd = gP.MaxCycles()
+// pipeline is one application's interaction loop: each round the insecure
+// stage runs and sends its payload over the IPC ring, then the secure
+// stage receives it, runs, and replies. Space-shared runs overlap round
+// r's secure stage with round r+1's insecure stage — a two-stage pipeline
+// coupled through the ring.
+type pipeline struct {
+	m          *sim.Machine
+	app        *workload.App
+	ring       *ipc.Ring
+	gIns, gSec *sim.Group
 
-		cStart := pEnd
-		if cEnd > cStart {
-			cStart = cEnd
+	// protocol, when set, time-shares the machine under that model: the
+	// insecure stage waits for the secure one, and the model's enclave
+	// entry and exit protocols bracket the secure stage. charged sums
+	// their cycles over the measurement window.
+	protocol enclave.Model
+	charged  int64
+	// open resets whatever the measurement window excludes (nil = every
+	// counter on the machine). The window opens right after the last
+	// warmup round, or before round 0 when there is none.
+	open func()
+
+	warmup, total int
+	round         int
+	pEnd, cEnd    int64
+	measureStart  int64
+	interactions  int64
+}
+
+// newPipeline builds the gangs of a pipeline of warmup unmeasured rounds
+// followed by rounds measured ones.
+func newPipeline(m *sim.Machine, ring *ipc.Ring, app *workload.App, sec, ins []arch.CoreID, warmup, rounds int) pipeline {
+	gIns := m.NewGroup(arch.Insecure, ins, 0)
+	gSec := m.NewGroup(arch.Secure, sec, 0)
+	return pipeline{m: m, app: app, ring: ring, gIns: gIns, gSec: gSec, warmup: warmup, total: warmup + rounds}
+}
+
+// frontier is the pipeline's progress on the cycle horizon.
+func (p *pipeline) frontier() int64 { return max(p.pEnd, p.cEnd) }
+
+func (p *pipeline) done() bool { return p.round >= p.total }
+
+// completion spans the measured rounds.
+func (p *pipeline) completion() int64 { return p.frontier() - p.measureStart }
+
+// step runs one interaction round.
+func (p *pipeline) step() {
+	if p.round == 0 && p.warmup == 0 {
+		p.openWindow()
+	}
+	r, app, serial := p.round, p.app, p.protocol != nil
+	start := p.pEnd
+	if serial {
+		start = p.frontier()
+	}
+	p.gIns.Restart(start)
+	if r > 0 {
+		_ = p.ring.Recv(p.gIns.Ctx(0), app.ReplyBytes)
+	}
+	app.Insecure.Round(p.gIns, r)
+	_ = p.ring.Send(p.gIns.Ctx(0), app.PayloadBytes)
+	p.pEnd = p.gIns.MaxCycles()
+
+	start = p.frontier()
+	if serial {
+		start += p.charge(p.protocol.EnterSecure(p.m))
+	}
+	p.gSec.Restart(start)
+	_ = p.ring.Recv(p.gSec.Ctx(0), app.PayloadBytes)
+	app.Secure.Round(p.gSec, r)
+	_ = p.ring.Send(p.gSec.Ctx(0), app.ReplyBytes)
+	p.cEnd = p.gSec.MaxCycles()
+	if serial {
+		p.cEnd += p.charge(p.protocol.ExitSecure(p.m))
+	}
+
+	p.round++
+	if p.round > p.warmup {
+		p.interactions += 2 // one request, one reply
+	}
+	if p.round == p.warmup {
+		p.openWindow()
+	}
+}
+
+func (p *pipeline) charge(cycles int64) int64 {
+	p.charged += cycles
+	return cycles
+}
+
+func (p *pipeline) openWindow() {
+	p.measureStart = p.frontier()
+	p.charged = 0
+	if p.open == nil {
+		resetStats(p.m)
+	} else {
+		p.open()
+	}
+}
+
+// run steps the pipeline through every round, polling interrupt before
+// each one; a non-nil return aborts the pipeline mid-run.
+func (p *pipeline) run(interrupt func() error) error {
+	for !p.done() {
+		if err := poll(interrupt); err != nil {
+			return err
 		}
-		gC.Restart(cStart)
-		_ = ring.Recv(gC.Ctx(0), app.PayloadBytes)
-		app.Secure.Round(gC, r)
-		_ = ring.Send(gC.Ctx(0), app.ReplyBytes)
-		cEnd = gC.MaxCycles()
-		if measured {
-			interactions += 2
-		}
+		p.step()
 	}
-	for r := 0; r < warmup; r++ {
-		if interrupt != nil {
-			if err := interrupt(); err != nil {
-				return 0, 0, err
-			}
-		}
-		runRound(r, false)
-	}
-	resetStats(m)
-	measureStart = pEnd
-	if cEnd > measureStart {
-		measureStart = cEnd
-	}
-	for r := 0; r < rounds; r++ {
-		if interrupt != nil {
-			if err := interrupt(); err != nil {
-				return 0, 0, err
-			}
-		}
-		runRound(warmup+r, true)
-	}
-	end := pEnd
-	if cEnd > end {
-		end = cEnd
-	}
-	return end - measureStart, interactions, nil
+	return nil
 }
 
 // clusterCores splits the cores between the domains for a spatial run.
@@ -581,8 +613,8 @@ func Profile(cfg arch.Config, model enclave.Model, factory AppFactory, opts Opti
 // ProfileTrace measures a candidate binding by replaying a captured trace
 // — the payload-free probe the binding search runs.
 func ProfileTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Options, secureCores int) (float64, error) {
-	if tr.Scale != opts.scale() {
-		return 0, fmt.Errorf("driver: trace captured at scale %g cannot profile at scale %g", tr.Scale, opts.scale())
+	if err := checkScale(tr, opts.scale(), "profile"); err != nil {
+		return 0, err
 	}
 	return profile(cfg, model, traceSource{tr: tr}, secureCores, opts.Interrupt)
 }
@@ -608,12 +640,13 @@ func profile(cfg arch.Config, model enclave.Model, src appSource, secureCores in
 		m.SetSplit(split, false)
 	}
 	sec, ins := clusterCores(m, app, secureCores)
-	completion, _, err := spatialCompletion(m, ring, app, sec, ins, warm, rounds, interrupt)
+	p := newPipeline(m, ring, app, sec, ins, warm, rounds)
+	err = p.run(interrupt)
 	releaseMachine(m)
 	if err != nil {
 		return 0, err
 	}
-	return float64(completion), nil
+	return float64(p.completion()), nil
 }
 
 // SearchResult is the outcome of a cluster-binding search: the chosen
@@ -636,25 +669,29 @@ func SearchTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Opt
 	if model.Temporal() {
 		return SearchResult{}, fmt.Errorf("driver: temporal model %s has no cluster binding to search", model.Name())
 	}
-	if tr.Scale != opts.scale() {
-		return SearchResult{}, fmt.Errorf("driver: trace captured at scale %g cannot search at scale %g", tr.Scale, opts.scale())
+	if err := checkScale(tr, opts.scale(), "search"); err != nil {
+		return SearchResult{}, err
 	}
 	return chooseBinding(cfg, model, traceSource{tr: tr}, opts)
 }
 
 // chooseBinding picks the secure-cluster size for a spatial run: the
-// fixed binding when Options pins one, otherwise the gradient heuristic
-// or the exhaustive Optimal oracle probing candidates via profile.
+// fixed binding when Options pins one (rejected unless it leaves both
+// clusters a core), otherwise the gradient heuristic or the exhaustive
+// Optimal oracle probing candidates via profile.
 func chooseBinding(cfg arch.Config, model enclave.Model, src appSource, opts Options) (SearchResult, error) {
 	lo, hi := 1, cfg.Cores()-1
 	sr := SearchResult{SecureCores: opts.FixedSecureCores, WaiveReconfig: opts.WaiveReconfig}
+	if sr.SecureCores > hi {
+		return SearchResult{}, fmt.Errorf("driver: binding of %d secure cores is outside [%d, %d]", sr.SecureCores, lo, hi)
+	}
 	if sr.SecureCores > 0 {
 		return sr, nil
 	}
 	eval := func(k int) (float64, error) {
 		// Checkpoint before every probe: an abandoned search stops instead
 		// of walking the rest of the candidate ladder.
-		if err := opts.interrupt(); err != nil {
+		if err := poll(opts.Interrupt); err != nil {
 			return 0, err
 		}
 		return profile(cfg, model, src, k, opts.Interrupt)
@@ -739,8 +776,8 @@ func runSpatial(cfg arch.Config, model enclave.Model, src appSource, opts Option
 	}
 
 	sec, ins := clusterCores(m, app, binding)
-	completion, interactions, err := spatialCompletion(m, ring, app, sec, ins, app.Warmup, app.Rounds, opts.Interrupt)
-	if err != nil {
+	p := newPipeline(m, ring, app, sec, ins, app.Warmup, app.Rounds)
+	if err := p.run(opts.Interrupt); err != nil {
 		releaseMachine(m)
 		return nil, err
 	}
@@ -754,9 +791,9 @@ func runSpatial(cfg arch.Config, model enclave.Model, src appSource, opts Option
 			reconfigCycles = 1
 		}
 	}
-	res.CompletionCycles = completion + reconfigCycles
+	res.CompletionCycles = p.completion() + reconfigCycles
 	res.ReconfigCycles = reconfigCycles
-	res.Interactions = interactions
+	res.Interactions = p.interactions
 	res.SecureCores = binding
 	collectStats(m, res)
 	releaseMachine(m)

@@ -106,6 +106,27 @@ func TestIronhideBeatsMI6(t *testing.T) {
 	}
 }
 
+// A pinned binding that leaves the insecure cluster without cores is an
+// error, not a panic on an empty gang.
+func TestPinnedBindingOutOfRange(t *testing.T) {
+	cfg := arch.TileGx72()
+	tr, err := CaptureTrace(cfg, tinyApp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []enclave.Model{enclave.Insecure{}, core.New(32)} {
+		for _, binding := range []int{cfg.Cores(), cfg.Cores() + 1} {
+			opts := Options{Seed: 7, FixedSecureCores: binding}
+			if _, err := RunTrace(cfg, model, tr, opts); err == nil {
+				t.Fatalf("%s replay at %d secure cores: accepted", model.Name(), binding)
+			}
+			if _, err := Run(cfg, model, tinyApp, opts); err == nil {
+				t.Fatalf("%s live run at %d secure cores: accepted", model.Name(), binding)
+			}
+		}
+	}
+}
+
 func TestHeuristicSearchRuns(t *testing.T) {
 	cfg := arch.TileGx72()
 	res, err := Run(cfg, core.New(32), tinyApp, Options{})

@@ -24,22 +24,34 @@ func countdownInterrupt(n int) func() error {
 	}
 }
 
-// TestInterruptStopsRun: a firing Interrupt aborts Run with its error —
+// TestInterruptStopsRun: a firing Interrupt aborts a run with its error —
 // the work actually stops instead of completing for a caller that has
-// already timed out.
+// already timed out. Every way of driving the interaction loop polls it:
+// space-shared, time-shared, and co-run.
 func TestInterruptStopsRun(t *testing.T) {
 	cfg := arch.TileGx72()
+	stop := func() error { return errStop }
 	for _, tc := range []struct {
-		name  string
-		model enclave.Model
+		name string
+		run  func() error
 	}{
-		{"spatial", core.New(32)},
-		{"temporal", enclave.SGXLike{}},
+		{"spatial", func() error {
+			_, err := Run(cfg, core.New(32), tinyApp, Options{Seed: 5, Interrupt: stop})
+			return err
+		}},
+		{"temporal", func() error {
+			_, err := Run(cfg, enclave.SGXLike{}, tinyApp, Options{Seed: 5, Interrupt: stop})
+			return err
+		}},
+		{"co-run", func() error {
+			trA, trB := captureTwo(t, cfg)
+			_, err := CoRunTraces(cfg, overlapTenants(trA, trB), CoRunOptions{Seed: 5, Interrupt: stop})
+			return err
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Seed: 5, Interrupt: func() error { return errStop }}
-			if _, err := Run(cfg, tc.model, tinyApp, opts); !errors.Is(err, errStop) {
-				t.Fatalf("Run under firing interrupt: err=%v, want errStop", err)
+			if err := tc.run(); !errors.Is(err, errStop) {
+				t.Fatalf("run under firing interrupt: err=%v, want errStop", err)
 			}
 		})
 	}

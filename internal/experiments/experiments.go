@@ -52,9 +52,6 @@ type Config struct {
 	// SearchWorkers bounds the worker pool of each exhaustive Optimal
 	// search (<= 1 sequential; results identical at any count).
 	SearchWorkers int
-	// NoReplay disables the shared record-once/replay-many acceleration
-	// and runs every grid cell with live payload execution.
-	NoReplay bool
 	// CoTenancy makes the scenario experiment space-share resident secure
 	// processes on disjoint sub-gangs of one machine (joint scheduler)
 	// instead of time-sharing the secure cluster.
@@ -102,12 +99,8 @@ func (c Config) searchWorkers() int {
 
 // captureAll records each selected application once at the run scale (in
 // parallel across apps) so a grid can share the trace across its model
-// axis. With NoReplay set it returns nils and grids fall back to live
-// payload execution per cell.
+// axis.
 func (c Config) captureAll(cfg arch.Config, entries []apps.Entry) ([]*trace.Trace, error) {
-	if c.NoReplay {
-		return make([]*trace.Trace, len(entries)), nil
-	}
 	return runner.Map(c.workers(), entries, func(i int, entry apps.Entry) (*trace.Trace, error) {
 		tr, err := driver.CaptureTrace(cfg, entry.Factory, driver.Options{Scale: c.scale()})
 		if err != nil {
@@ -184,7 +177,7 @@ func RunMatrix(cfg arch.Config, ec Config) (*Matrix, error) {
 				Key:   entry.Name + "/" + models[mi].Name(),
 				App:   entry.Factory,
 				Model: factory,
-				Opts:  driver.Options{Scale: ec.scale(), SearchWorkers: ec.searchWorkers(), NoReplay: ec.NoReplay},
+				Opts:  driver.Options{Scale: ec.scale(), SearchWorkers: ec.searchWorkers()},
 				Trace: traces[ei],
 			})
 			slots = append(slots, slot{entry: entry, model: models[mi].Name()})
@@ -409,30 +402,22 @@ func BuildFig8(cfg arch.Config, ec Config) (*Fig8Report, error) {
 		opts := func() driver.Options {
 			return driver.Options{
 				Scale: ec.scale(), Seed: ec.seed() + int64(i),
-				SearchWorkers: ec.searchWorkers(), NoReplay: ec.NoReplay,
+				SearchWorkers: ec.searchWorkers(),
 			}
 		}
 
 		// One capture serves the whole study for this application: the MI6
 		// baseline, the heuristic search, the exhaustive Optimal search,
 		// and every fixed-variation run all replay the same stream.
+		tr, err := driver.CaptureTrace(cfg, entry.Factory, driver.Options{Scale: ec.scale()})
+		if err != nil {
+			return out, err
+		}
 		run := func(model enclave.Model, o driver.Options) (*driver.Result, error) {
-			return driver.Run(cfg, model, entry.Factory, o)
+			return driver.RunTrace(cfg, model, tr, o)
 		}
 		eval := func(k int) (float64, error) {
-			return driver.Profile(cfg, core.New(32), entry.Factory, opts(), k)
-		}
-		if !ec.NoReplay {
-			tr, err := driver.CaptureTrace(cfg, entry.Factory, driver.Options{Scale: ec.scale()})
-			if err != nil {
-				return out, err
-			}
-			run = func(model enclave.Model, o driver.Options) (*driver.Result, error) {
-				return driver.RunTrace(cfg, model, tr, o)
-			}
-			eval = func(k int) (float64, error) {
-				return driver.ProfileTrace(cfg, core.New(32), tr, opts(), k)
-			}
+			return driver.ProfileTrace(cfg, core.New(32), tr, opts(), k)
 		}
 
 		// MI6 baseline.
@@ -718,8 +703,7 @@ func PolicyCmp(cfg arch.Config, ec Config, w io.Writer) error {
 // selected applications become mutually distrusting tenants that want the
 // machine simultaneously, every packing policy partitions the clusters
 // between them, and each partition is scored by co-running all tenants'
-// traces at once (space-sharing, not time-sharing). Co-tenancy needs the
-// recorded traces, so this experiment captures even under NoReplay.
+// traces at once (space-sharing, not time-sharing).
 func BuildCoTenancy(cfg arch.Config, ec Config) (*sched.Report, error) {
 	entries := ec.catalog()
 	if len(entries) > 3 {
@@ -728,13 +712,7 @@ func BuildCoTenancy(cfg arch.Config, ec Config) (*sched.Report, error) {
 	if len(entries) < 2 {
 		return nil, fmt.Errorf("experiments: co-tenancy needs at least two applications, got %d", len(entries))
 	}
-	traces, err := runner.Map(ec.workers(), entries, func(i int, entry apps.Entry) (*trace.Trace, error) {
-		tr, err := driver.CaptureTrace(cfg, entry.Factory, driver.Options{Scale: ec.scale()})
-		if err != nil {
-			return nil, fmt.Errorf("capture %s: %w", entry.Name, err)
-		}
-		return tr, nil
-	})
+	traces, err := ec.captureAll(cfg, entries)
 	if err != nil {
 		return nil, err
 	}

@@ -255,3 +255,30 @@ func TestClassFilters(t *testing.T) {
 		t.Fatalf("class filtering broken: %d user, %d os, %d all", len(user), len(osl), len(all))
 	}
 }
+
+// The scenario timeline emits byte-identical JSON at any worker count,
+// time-shared and with co-tenancy.
+func TestScenarioParallelDeterminism(t *testing.T) {
+	for _, coTenancy := range []bool{false, true} {
+		run := func(parallel int) []byte {
+			ec := fast()
+			ec.Parallel = parallel
+			ec.CoTenancy = coTenancy
+			rep, err := BuildScenario(cfg(), ec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Phases) == 0 {
+				t.Fatal("scenario ran no phases")
+			}
+			var buf bytes.Buffer
+			if err := metrics.EmitJSON(&buf, rep); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		if seq, par := run(1), run(4); !bytes.Equal(seq, par) {
+			t.Fatalf("scenario (co-tenancy %v) diverges between -parallel 1 and 4:\n--- seq ---\n%s\n--- par ---\n%s", coTenancy, seq, par)
+		}
+	}
+}

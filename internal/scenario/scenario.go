@@ -828,7 +828,6 @@ func (e *engine) runCoTenants(index int, ph *Phase) error {
 		opts := driver.CoRunOptions{
 			Scale:       e.spec.scale(),
 			SecureCores: e.binding,
-			Contention:  true,
 			Seed:        e.spec.seed(),
 		}
 		if active >= 0 {

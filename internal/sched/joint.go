@@ -170,7 +170,6 @@ func JointSearch(cfg arch.Config, tenants []Tenant, opts Options) (*Report, erro
 		co := driver.CoRunOptions{
 			Scale:       opts.scale(),
 			SecureCores: res.SecureCores,
-			Contention:  true,
 			Seed:        opts.seed(),
 			Interrupt:   opts.Interrupt,
 		}

@@ -261,6 +261,15 @@ func Resolve(app, model string) (apps.Entry, func() enclave.Model, error) {
 	return apps.Entry{}, nil, fmt.Errorf("unknown model %q (known: %s)", model, strings.Join(names, ", "))
 }
 
+// resolve is Resolve for one query, also rejecting a pinned binding that
+// would leave a cluster without cores — before admission or any capture.
+func (s *Server) resolve(q Query) (apps.Entry, func() enclave.Model, error) {
+	if cores := s.cfg.Arch.Cores(); q.FixedSecureCores < 0 || q.FixedSecureCores >= cores {
+		return apps.Entry{}, nil, fmt.Errorf("fixed_secure_cores %d must be 0 (search) or within [1, %d]", q.FixedSecureCores, cores-1)
+	}
+	return Resolve(q.App, q.Model)
+}
+
 // SearchResponse is /v1/search's body: the chosen binding and the
 // predicted completion/breakdown a run at that binding measures.
 type SearchResponse struct {
@@ -593,7 +602,7 @@ func (s *Server) sharedTraces(ctx context.Context) (traceFor func(apps.Entry, fl
 }
 
 func (s *Server) searchPlan(q *Query) (plan, error) {
-	entry, mf, err := Resolve(q.App, q.Model)
+	entry, mf, err := s.resolve(*q)
 	if err != nil {
 		return plan{}, err
 	}
@@ -633,7 +642,7 @@ func (s *Server) searchPlan(q *Query) (plan, error) {
 }
 
 func (s *Server) runPlan(q *Query) (plan, error) {
-	entry, mf, err := Resolve(q.App, q.Model)
+	entry, mf, err := s.resolve(*q)
 	if err != nil {
 		return plan{}, err
 	}
@@ -665,7 +674,7 @@ func (s *Server) gridPlan(req *GridRequest) (plan, error) {
 		if q.TimeoutMs != 0 {
 			return plan{}, fmt.Errorf("cell %d: timeout_ms is per request, not per cell — set it on the grid", i)
 		}
-		entry, mf, err := Resolve(q.App, q.Model)
+		entry, mf, err := s.resolve(q)
 		if err != nil {
 			return plan{}, fmt.Errorf("cell %d: %w", i, err)
 		}

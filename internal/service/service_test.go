@@ -250,6 +250,12 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/grid", GridRequest{Cells: []Query{{App: "nope", Model: "IRONHIDE"}}}},
 		{"/v1/grid", GridRequest{Cells: []Query{{App: "sssp-graph", Model: "IRONHIDE", TimeoutMs: 50}}}}, // per-cell deadline: grid-level only
 		{"/v1/run", map[string]any{"app": "sssp-graph", "model": "IRONHIDE", "wat": 1}},
+		// A pinned binding must leave both clusters a core (64-core machine).
+		{"/v1/run", Query{App: "sssp-graph", Model: "Insecure", Scale: 0.1, FixedSecureCores: 64}},
+		{"/v1/run", Query{App: "sssp-graph", Model: "IRONHIDE", Scale: 0.1, FixedSecureCores: 64}},
+		{"/v1/run", Query{App: "sssp-graph", Model: "IRONHIDE", Scale: 0.1, FixedSecureCores: -1}},
+		{"/v1/search", Query{App: "sssp-graph", Model: "IRONHIDE", Scale: 0.1, FixedSecureCores: 1000}},
+		{"/v1/grid", GridRequest{Cells: []Query{{App: "sssp-graph", Model: "Insecure", Scale: 0.1, FixedSecureCores: 64}}}},
 		// Raw bodies: one valid JSON value followed by anything but
 		// whitespace is rejected, not silently truncated.
 		{"/v1/run", json.RawMessage(`{"app":"sssp-graph","model":"IRONHIDE"} junk`)},

@@ -1,6 +1,7 @@
 package ironhide
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -92,16 +93,25 @@ func TestOracleReplayAllocatesLessThanLive(t *testing.T) {
 	if !ok {
 		t.Fatal("catalog missing app")
 	}
+	// The machine pool is a sync.Pool: a machine released on one P can be
+	// out of reach from another, and a GC can empty the pool mid-run, so
+	// either side may pay for a fresh machine the other reused. One P and
+	// the minimum over a few runs measure both sides with recycled ones.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	measure := func(noReplay bool) uint64 {
 		opts := driver.Options{Scale: 0.1, Optimal: true, OptimalStride: 4, NoReplay: noReplay, Seed: 5}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		if _, err := driver.Run(cfg, core.New(32), entry.Factory, opts); err != nil {
-			t.Fatal(err)
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if _, err := driver.Run(cfg, core.New(32), entry.Factory, opts); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return least
 	}
 	live := measure(true)
 	replay := measure(false)
