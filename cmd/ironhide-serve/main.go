@@ -12,8 +12,6 @@
 //	               [-capture-grace d]
 //	ironhide-serve -fleet-peers url1,url2,... -fleet-self url1
 //	               [-fleet-seed n] [-fleet-vnodes n] [-fleet-replicas n]
-//	ironhide-serve -chaos-selftest [-selftest-scale f]
-//	ironhide-serve -fleet-selftest [-selftest-scale f]
 //
 // Serving mode listens on -addr until SIGINT/SIGTERM, then flips
 // /v1/readyz to 503, drains in-flight requests and exits. With -store,
@@ -26,25 +24,15 @@
 // on trace-key ownership via a seeded consistent-hash ring, and resolves
 // local misses by fetching traces from the key's other replicas (GET
 // /v1/trace/{key}, CRC-verified on receipt) before falling back to a
-// live capture.
-//
-// -chaos-selftest builds the full crash story: it re-executes this
-// binary as a real daemon with a temp -store, loads it, SIGKILLs it
-// mid-capture, corrupts one committed entry on disk, restarts the
-// daemon, and verifies warm recovery — stored traces replay without
-// re-capture, the corrupted entry is quarantined and transparently
-// re-captured, and every response stays byte-identical across the crash.
-//
-// -fleet-selftest is the chaos story at fleet scale: it spawns three real
-// daemons as a sharded fleet, routes mixed load through the
-// consistent-hash router, SIGKILLs one shard mid-capture and proves
-// failover (zero errors, bounded p99, byte-identical to a single-node
-// oracle), then wipes and restarts the dead shard and proves it re-warms
-// from its peers instead of re-executing payloads.
+// live capture. -fleet-self must appear in -fleet-peers exactly as
+// listed; otherwise the daemon refuses to start, since its ring would
+// differ from every peer's.
 //
 // The in-process checks — byte-identity with the batch driver, shed
 // semantics, streamed == blocking — are tests of internal/service; the
-// warm and cold serving numbers come from the benchmark (bash
+// multi-process crash story (SIGKILL mid-capture, failover, disk rot,
+// restart and peer re-warm across three real shards) is this package's
+// test; the warm and cold serving numbers come from the benchmark (bash
 // benchmark/run.sh).
 package main
 
@@ -57,6 +45,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -78,24 +67,12 @@ func main() {
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint attached to shed (503) responses")
 	captureGrace := flag.Duration("capture-grace", 0, "how long an abandoned capture may keep running (0 = run to completion and fill the cache)")
 
-	chaos := flag.Bool("chaos-selftest", false, "run the crash-recovery self-test (re-executes this binary as a daemon, SIGKILLs it, restarts it) and exit")
-	stScale := flag.Float64("selftest-scale", 0.25, "scale of the chaos and fleet self-test queries")
-
 	fleetPeers := flag.String("fleet-peers", "", "comma-separated base URLs of every fleet shard, this one included (empty = not sharded)")
 	fleetSelf := flag.String("fleet-self", "", "this shard's base URL exactly as listed in -fleet-peers")
 	fleetSeed := flag.Int64("fleet-seed", 0, "consistent-hash ring placement seed (all shards and clients must agree)")
 	fleetVNodes := flag.Int("fleet-vnodes", 0, "virtual nodes per shard on the ring (0 = default)")
 	fleetReplicas := flag.Int("fleet-replicas", 0, "replica-set size per trace key: owner + backups (0 = default)")
-
-	fleetSelftest := flag.Bool("fleet-selftest", false, "run the fleet chaos self-test (spawns a real sharded fleet, SIGKILLs a shard mid-capture, proves failover and peer-fetch re-warm) and exit")
 	flag.Parse()
-
-	if *chaos {
-		os.Exit(runChaos(*stScale, *dilation))
-	}
-	if *fleetSelftest {
-		os.Exit(runFleetSelftest(*stScale, *dilation))
-	}
 
 	cfg := service.Config{
 		Arch:           arch.TileGx72Scaled(*dilation),
@@ -109,13 +86,14 @@ func main() {
 	}
 
 	if *fleetPeers != "" {
-		if *fleetSelf == "" {
-			fmt.Fprintln(os.Stderr, "ironhide-serve: -fleet-peers requires -fleet-self")
-			os.Exit(1)
-		}
 		members := strings.Split(*fleetPeers, ",")
 		for i := range members {
 			members[i] = strings.TrimSpace(members[i])
+		}
+		if *fleetSelf == "" || !slices.Contains(members, *fleetSelf) {
+			fmt.Fprintf(os.Stderr, "ironhide-serve: -fleet-self %q is not one of -fleet-peers %q; list it exactly as there, or this shard's ring differs from its peers'\n",
+				*fleetSelf, members)
+			os.Exit(1)
 		}
 		cfg.Fleet = &service.FleetConfig{
 			Self:     *fleetSelf,

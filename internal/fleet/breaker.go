@@ -109,13 +109,3 @@ func (b *Breaker) Opens() int64 {
 	defer b.mu.Unlock()
 	return b.opens
 }
-
-// Reset force-closes the breaker and clears its failure history. The
-// fleet selftest calls it after deliberately restarting a shard.
-func (b *Breaker) Reset() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consecutive = 0
-	b.open = false
-	b.probing = false
-}

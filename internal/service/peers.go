@@ -29,8 +29,8 @@ type FleetConfig struct {
 	// Self is this instance's base URL exactly as it appears in Members
 	// (e.g. "http://10.0.0.3:8372").
 	Self string
-	// Members lists every shard's base URL, including Self (it is added
-	// if absent). Order does not matter; the set does.
+	// Members lists every shard's base URL, including Self. Order does not
+	// matter; the set does.
 	Members []string
 	// Seed is the ring placement seed. All participants must agree.
 	Seed int64
@@ -53,13 +53,20 @@ func (fc *FleetConfig) replicas() int {
 	return fleet.DefaultReplicas
 }
 
-// FleetStatus reports sharding state in /v1/status.
-type FleetStatus struct {
+// FleetIdentity is a shard's place in the fleet: its own URL and the ring
+// parameters every member and router must share. /v1/status, /v1/ring and
+// /v1/readyz all lead with it.
+type FleetIdentity struct {
 	Self     string   `json:"self"`
 	Members  []string `json:"members"`
 	Seed     int64    `json:"seed"`
 	VNodes   int      `json:"vnodes"`
 	Replicas int      `json:"replicas"`
+}
+
+// FleetStatus reports sharding state in /v1/status.
+type FleetStatus struct {
+	FleetIdentity
 	// OwnedKeys counts committed store keys this shard owns per the ring.
 	OwnedKeys int `json:"owned_keys"`
 	// StoreKeys counts all committed store keys on this shard (owned or
@@ -103,19 +110,6 @@ type peerFetcher struct {
 }
 
 func newPeerFetcher(fc *FleetConfig) *peerFetcher {
-	members := fc.Members
-	if fc.Self != "" {
-		found := false
-		for _, m := range members {
-			if m == fc.Self {
-				found = true
-				break
-			}
-		}
-		if !found {
-			members = append(append([]string{}, members...), fc.Self)
-		}
-	}
 	hc := fc.HTTP
 	if hc == nil {
 		hc = &http.Client{}
@@ -126,7 +120,7 @@ func newPeerFetcher(fc *FleetConfig) *peerFetcher {
 	}
 	return &peerFetcher{
 		self:        fc.Self,
-		ring:        fleet.NewRing(members, fc.Seed, fc.VNodes),
+		ring:        fleet.NewRing(fc.Members, fc.Seed, fc.VNodes),
 		replicas:    fc.replicas(),
 		http:        hc,
 		timeout:     timeout,
@@ -261,6 +255,17 @@ func (p *peerFetcher) quarantine(peer, reason string) {
 	}
 }
 
+// identity reports this shard's place in the fleet.
+func (p *peerFetcher) identity() FleetIdentity {
+	return FleetIdentity{
+		Self:     p.self,
+		Members:  p.ring.Members(),
+		Seed:     p.ring.Seed(),
+		VNodes:   p.ring.VNodes(),
+		Replicas: p.replicas,
+	}
+}
+
 // status snapshots the fleet layer. ownedKeys is computed by the caller
 // (it needs the store).
 func (p *peerFetcher) status(storeKeys []string) *FleetStatus {
@@ -281,11 +286,7 @@ func (p *peerFetcher) status(storeKeys []string) *FleetStatus {
 	p.mu.Unlock()
 	sort.Strings(quarantined)
 	return &FleetStatus{
-		Self:             p.self,
-		Members:          p.ring.Members(),
-		Seed:             p.ring.Seed(),
-		VNodes:           p.ring.VNodes(),
-		Replicas:         p.replicas,
+		FleetIdentity:    p.identity(),
 		OwnedKeys:        owned,
 		StoreKeys:        len(storeKeys),
 		PeerFetches:      p.fetches.Load(),

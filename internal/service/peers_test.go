@@ -391,3 +391,19 @@ func TestPeerFetchNoGoroutineLeak(t *testing.T) {
 		time.Sleep(25 * time.Millisecond)
 	}
 }
+
+// /v1/status, /v1/ring and /v1/readyz all lead with the fleet identity,
+// under the same field names in the same order.
+func TestFleetIdentityLeadsEveryBody(t *testing.T) {
+	id := FleetIdentity{Self: "a", Members: []string{"a", "b"}, Seed: 1, VNodes: 2, Replicas: 3}
+	const head = `{"self":"a","members":["a","b"],"seed":1,"vnodes":2,"replicas":3,`
+	for _, body := range []any{FleetStatus{FleetIdentity: id}, RingResponse{FleetIdentity: id, Key: "k"}, ReadyzFleet{FleetIdentity: id}} {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(b, []byte(head)) {
+			t.Fatalf("%T renders %s, want it to start %s", body, b, head)
+		}
+	}
+}

@@ -116,10 +116,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// Ring exposes the router's ring (the fleet selftest asserts it agrees
-// with every shard's).
-func (rt *Router) Ring() *fleet.Ring { return rt.ring }
-
 // Owners returns the replica set the router would try for a routing key,
 // owner first.
 func (rt *Router) Owners(key string) []string {
@@ -129,16 +125,6 @@ func (rt *Router) Owners(key string) []string {
 // Failovers returns the total number of shard attempts abandoned in
 // favor of the next replica since the router was built.
 func (rt *Router) Failovers() int64 { return rt.failovers.Load() }
-
-// ResetBreakers force-closes every per-shard breaker. The fleet selftest
-// calls it after deliberately restarting a shard, so the probe that
-// proves peer-fetch re-warm is routed to the restarted owner immediately
-// instead of waiting out a cooldown.
-func (rt *Router) ResetBreakers() {
-	for _, b := range rt.breakers {
-		b.Reset()
-	}
-}
 
 // RouteKey derives the consistent-hash routing key for a query: the same
 // (app, scale, seed) trace identity the shards key their caches and

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -145,12 +144,6 @@ func TestRouterBreakerSkipsDeadShard(t *testing.T) {
 	if got := rt.Failovers(); got != before {
 		t.Fatalf("open breaker still burning attempts: failovers %d → %d", before, got)
 	}
-
-	// ResetBreakers force-closes it again (the selftest's restart path).
-	rt.ResetBreakers()
-	if !rt.breakers[owner].Allow() {
-		t.Fatal("breaker still open after ResetBreakers")
-	}
 }
 
 // Deterministic failures — a malformed query the shards will always
@@ -259,35 +252,5 @@ func TestRouterGridAndScenario(t *testing.T) {
 	}
 	if res.Shard == "" || len(sresp) == 0 {
 		t.Fatalf("scenario: shard %q, %d body bytes", res.Shard, len(sresp))
-	}
-}
-
-// HammerRouter distributes uniform keys across shards within the 2× skew
-// bound, and failovers stay separate from errors on a healthy fleet.
-func TestHammerRouterBalance(t *testing.T) {
-	_, _, rt := routedFleet(t, 41)
-	var targets []RoutedTarget
-	for seed := int64(0); seed < 30; seed++ {
-		targets = append(targets, RoutedTarget{Path: "/v1/search", Query: Query{
-			App: "aes-query", Model: "IRONHIDE", Scale: 0.1, Seed: seed,
-		}})
-	}
-	rep, bodies := HammerRouter("balance", rt, targets, 4)
-	if rep.Errors != 0 || rep.Failovers != 0 {
-		t.Fatalf("healthy fleet: %d errors (%s), %d failovers", rep.Errors, rep.FirstError, rep.Failovers)
-	}
-	if len(rep.PerShard) != 3 {
-		t.Fatalf("only %d shards answered: %s", len(rep.PerShard), rep.ShardLine())
-	}
-	if skew := rep.MaxShardSkew(); skew > 2 {
-		t.Fatalf("shard skew %.2f > 2: %s", skew, rep.ShardLine())
-	}
-	if rep.ThroughputRPS() <= 0 || rep.P99 < rep.P50 || !strings.Contains(rep.String(), "balance") {
-		t.Fatalf("implausible report %s", rep)
-	}
-	for i, b := range bodies {
-		if len(b) == 0 {
-			t.Fatalf("target %d returned an empty body", i)
-		}
 	}
 }

@@ -124,9 +124,9 @@ type Server struct {
 	inflightScenario, inflightJoint           atomic.Int64
 	// liveCaptures counts actual driver.CaptureTrace invocations —
 	// payload executions. Unlike the cache's Captures stat (which counts
-	// fill-closure runs, peer fetches included), this is the number the
-	// fleet selftest pins at zero to prove a restarted shard re-warmed
-	// from peers instead of re-executing.
+	// fill-closure runs, peer fetches included), this is the number that
+	// stays at zero when a restarted shard re-warms from its store and
+	// peers instead of re-executing.
 	liveCaptures atomic.Int64
 }
 
@@ -175,9 +175,8 @@ func New(cfg Config) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.served.Add(1)
 	if s.peers != nil {
-		// Which shard answered travels on every response, so loadgen and
-		// the fleet selftest can assert routing balance and failover
-		// without server-side coordination.
+		// Which shard answered travels on every response, so clients can
+		// observe routing and failover without server-side coordination.
 		w.Header().Set("X-Ironhide-Shard", s.peers.self)
 	}
 	s.mux.ServeHTTP(w, r)
@@ -601,33 +600,51 @@ func (s *Server) sharedTraces(ctx context.Context) (traceFor func(apps.Entry, fl
 	return traceFor, worst
 }
 
-func (s *Server) searchPlan(q *Query) (plan, error) {
+// queryPlan is the one step /v1/search and /v1/run share: resolve the
+// query (and let check reject its model) before admission, then fetch its
+// trace and answer it under the query's options, interruptible by the
+// request context.
+func (s *Server) queryPlan(q *Query, check func(enclave.Model) error, answer func(mf func() enclave.Model, tr *trace.Trace, opts driver.Options) (any, error)) (plan, error) {
 	entry, mf, err := s.resolve(*q)
 	if err != nil {
 		return plan{}, err
 	}
-	if mf().Temporal() {
-		return plan{}, fmt.Errorf("model %s time-shares the whole machine and has no cluster binding to search", mf().Name())
+	if check != nil {
+		if err := check(mf()); err != nil {
+			return plan{}, err
+		}
 	}
 	return plan{timeoutMs: q.TimeoutMs, work: func(ctx context.Context) outcome {
-		tr, src, err := s.getTrace(ctx, entry, q.key(entry), q.Options())
+		opts := q.Options()
+		tr, src, err := s.getTrace(ctx, entry, q.key(entry), opts)
 		if err != nil {
 			return outcome{err: err}
 		}
-		opts := q.Options()
 		opts.Interrupt = ctxInterrupt(ctx)
+		body, err := answer(mf, tr, opts)
+		return outcome{src: src, body: body, err: err}
+	}}, nil
+}
+
+func (s *Server) searchPlan(q *Query) (plan, error) {
+	spatial := func(m enclave.Model) error {
+		if m.Temporal() {
+			return fmt.Errorf("model %s time-shares the whole machine and has no cluster binding to search", m.Name())
+		}
+		return nil
+	}
+	return s.queryPlan(q, spatial, func(mf func() enclave.Model, tr *trace.Trace, opts driver.Options) (any, error) {
 		sr, err := driver.SearchTrace(s.cfg.Arch, mf(), tr, opts)
 		if err != nil {
-			return outcome{err: err}
+			return nil, err
 		}
-		pinned := opts
-		pinned.FixedSecureCores = sr.SecureCores
-		pinned.WaiveReconfig = sr.WaiveReconfig
-		res, err := driver.RunTrace(s.cfg.Arch, mf(), tr, pinned)
+		opts.FixedSecureCores = sr.SecureCores
+		opts.WaiveReconfig = sr.WaiveReconfig
+		res, err := driver.RunTrace(s.cfg.Arch, mf(), tr, opts)
 		if err != nil {
-			return outcome{err: err}
+			return nil, err
 		}
-		return outcome{src: src, body: SearchResponse{
+		return SearchResponse{
 			App:              res.App,
 			Model:            res.Model,
 			SecureCores:      sr.SecureCores,
@@ -637,27 +654,16 @@ func (s *Server) searchPlan(q *Query) (plan, error) {
 			EntryExitCycles:  res.EntryExitCycles,
 			PurgeCycles:      res.PurgeCycles,
 			ReconfigCycles:   res.ReconfigCycles,
-		}}
-	}}, nil
+		}, nil
+	})
 }
 
 func (s *Server) runPlan(q *Query) (plan, error) {
-	entry, mf, err := s.resolve(*q)
-	if err != nil {
-		return plan{}, err
-	}
-	return plan{timeoutMs: q.TimeoutMs, work: func(ctx context.Context) outcome {
-		tr, src, err := s.getTrace(ctx, entry, q.key(entry), q.Options())
-		if err != nil {
-			return outcome{err: err}
-		}
-		opts := q.Options()
-		opts.Interrupt = ctxInterrupt(ctx)
-		res, err := driver.RunTrace(s.cfg.Arch, mf(), tr, opts)
-		// The body is exactly the driver Result, so an online answer can be
-		// diffed byte-for-byte against the batch path.
-		return outcome{src: src, body: res, err: err}
-	}}, nil
+	// The body is exactly the driver Result, so an online answer can be
+	// diffed byte-for-byte against the batch path.
+	return s.queryPlan(q, nil, func(mf func() enclave.Model, tr *trace.Trace, opts driver.Options) (any, error) {
+		return driver.RunTrace(s.cfg.Arch, mf(), tr, opts)
+	})
 }
 
 func (s *Server) gridPlan(req *GridRequest) (plan, error) {
@@ -922,15 +928,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // RingResponse is /v1/ring's body: this shard's view of the consistent-
 // hash ring, plus — when ?key= is supplied — the replica set it computes
 // for that key. Every fleet member must answer identically for the same
-// key; the fleet selftest asserts exactly that against the client ring.
+// key, and identically to a Router over the same membership.
 type RingResponse struct {
-	Self     string   `json:"self"`
-	Members  []string `json:"members"`
-	Seed     int64    `json:"seed"`
-	VNodes   int      `json:"vnodes"`
-	Replicas int      `json:"replicas"`
-	Key      string   `json:"key,omitempty"`
-	Owners   []string `json:"owners,omitempty"`
+	FleetIdentity
+	Key    string   `json:"key,omitempty"`
+	Owners []string `json:"owners,omitempty"`
 }
 
 func (s *Server) handleRing(w http.ResponseWriter, r *http.Request) {
@@ -938,13 +940,7 @@ func (s *Server) handleRing(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("not a fleet member"))
 		return
 	}
-	resp := RingResponse{
-		Self:     s.peers.self,
-		Members:  s.peers.ring.Members(),
-		Seed:     s.peers.ring.Seed(),
-		VNodes:   s.peers.ring.VNodes(),
-		Replicas: s.peers.replicas,
-	}
+	resp := RingResponse{FleetIdentity: s.peers.identity()}
 	if key := r.URL.Query().Get("key"); key != "" {
 		resp.Key = key
 		resp.Owners = s.peers.ring.Owners(key, s.peers.replicas)
@@ -965,11 +961,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // progress inside a fleet member's /v1/readyz body, so a router or
 // operator polling readiness also learns the shard's view of the ring.
 type ReadyzFleet struct {
-	Self     string   `json:"self"`
-	Members  []string `json:"members"`
-	Seed     int64    `json:"seed"`
-	VNodes   int      `json:"vnodes"`
-	Replicas int      `json:"replicas"`
+	FleetIdentity
 	// Prewarmed counts traces loaded into the LRU from the store at boot.
 	Prewarmed int `json:"prewarmed"`
 	// StoreEntries counts committed traces on this shard's disk.
@@ -982,13 +974,7 @@ type ReadyzFleet struct {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{"status": "ready"}
 	if s.peers != nil {
-		fl := ReadyzFleet{
-			Self:     s.peers.self,
-			Members:  s.peers.ring.Members(),
-			Seed:     s.peers.ring.Seed(),
-			VNodes:   s.peers.ring.VNodes(),
-			Replicas: s.peers.replicas,
-		}
+		fl := ReadyzFleet{FleetIdentity: s.peers.identity()}
 		if s.persist != nil {
 			fl.Prewarmed = s.persist.prewarmed
 			fl.StoreEntries = s.persist.st.Len()
