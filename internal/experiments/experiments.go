@@ -16,7 +16,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -240,9 +239,6 @@ func (mx *Matrix) BuildFig1a() *Fig1aReport {
 	return rep
 }
 
-// Fig1a renders BuildFig1a as text.
-func (mx *Matrix) Fig1a(w io.Writer) { _ = metrics.EmitText(w, mx.BuildFig1a()) }
-
 // BuildFig6 aggregates per-application completion times with the paper's
 // breakdown — process execution versus enclave entry/exit (SGX), purging
 // (MI6) and one-time reconfiguration (IRONHIDE) — plus the secure-cluster
@@ -319,9 +315,6 @@ func (mx *Matrix) BuildFig6() *Fig6Report {
 	return rep
 }
 
-// Fig6 renders BuildFig6 as text.
-func (mx *Matrix) Fig6(w io.Writer) { _ = metrics.EmitText(w, mx.BuildFig6()) }
-
 // BuildFig7 aggregates the private L1 and shared L2 miss rates of MI6 and
 // IRONHIDE per application (paper Figure 7: L1 improves up to 5.9x, L2 up
 // to 2x, with <TC, GRAPH> and <LIGHTTPD, OS> as the L2 exceptions).
@@ -369,9 +362,6 @@ func (mx *Matrix) BuildFig7() *Fig7Report {
 	}
 	return rep
 }
-
-// Fig7 renders BuildFig7 as text.
-func (mx *Matrix) Fig7(w io.Writer) { _ = metrics.EmitText(w, mx.BuildFig7()) }
 
 func safeRatio(a, b float64) float64 {
 	if b == 0 {
@@ -498,15 +488,6 @@ func BuildFig8(cfg arch.Config, ec Config) (*Fig8Report, error) {
 	return rep, nil
 }
 
-// Fig8 renders BuildFig8 as text.
-func Fig8(cfg arch.Config, ec Config, w io.Writer) error {
-	rep, err := BuildFig8(cfg, ec)
-	if err != nil {
-		return err
-	}
-	return metrics.EmitText(w, rep)
-}
-
 // BuildTable1 reconstructs the system-configuration table (the paper's
 // Table I is absent from the available source text; values are rebuilt
 // from in-text references and public Tile-Gx72 documentation).
@@ -527,9 +508,6 @@ func BuildTable1(cfg arch.Config) *Table1Report {
 	add("SGX entry/exit", cfg.CyclesToDuration(cfg.SGXEntryExitLat).String())
 	return rep
 }
-
-// Table1 renders BuildTable1 as text.
-func Table1(cfg arch.Config, w io.Writer) { _ = metrics.EmitText(w, BuildTable1(cfg)) }
 
 // SweepPoint is one interactivity measurement.
 type SweepPoint struct {
@@ -587,18 +565,6 @@ func BuildSweep(cfg arch.Config, ec Config, rounds []int) (*SweepReport, error) 
 		})
 	}
 	return rep, nil
-}
-
-// Sweep renders BuildSweep as text and returns its points.
-func Sweep(cfg arch.Config, ec Config, rounds []int, w io.Writer) ([]SweepPoint, error) {
-	rep, err := BuildSweep(cfg, ec, rounds)
-	if err != nil {
-		return nil, err
-	}
-	if err := metrics.EmitText(w, rep); err != nil {
-		return nil, err
-	}
-	return rep.Points, nil
 }
 
 // BuildScenario runs the multi-tenant dynamic-reconfiguration timeline
@@ -690,15 +656,6 @@ func BuildPolicyCmp(cfg arch.Config, ec Config) (*PolicyCmpReport, error) {
 	}, nil
 }
 
-// PolicyCmp renders BuildPolicyCmp as text.
-func PolicyCmp(cfg arch.Config, ec Config, w io.Writer) error {
-	rep, err := BuildPolicyCmp(cfg, ec)
-	if err != nil {
-		return err
-	}
-	return metrics.EmitText(w, rep)
-}
-
 // BuildCoTenancy runs the joint-scheduler policy study: the first few
 // selected applications become mutually distrusting tenants that want the
 // machine simultaneously, every packing policy partitions the clusters
@@ -725,15 +682,6 @@ func BuildCoTenancy(cfg arch.Config, ec Config) (*sched.Report, error) {
 		Workers: ec.workers(),
 		Seed:    ec.seed(),
 	})
-}
-
-// CoTenancy renders BuildCoTenancy as text.
-func CoTenancy(cfg arch.Config, ec Config, w io.Writer) error {
-	rep, err := BuildCoTenancy(cfg, ec)
-	if err != nil {
-		return err
-	}
-	return metrics.EmitText(w, rep)
 }
 
 // BuildAttack mounts the Prime+Probe covert channel under every model
@@ -763,11 +711,4 @@ func BuildAttack(ec Config, trials int) (*AttackReport, error) {
 		Title: "Prime+Probe covert-channel validation (extension)",
 		Rows:  rows,
 	}, nil
-}
-
-// SortedModels returns model names sorted (test helper).
-func (mx *Matrix) SortedModels() []string {
-	out := append([]string(nil), mx.Models...)
-	sort.Strings(out)
-	return out
 }

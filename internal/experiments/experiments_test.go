@@ -20,6 +20,16 @@ func fast() Config {
 
 func cfg() arch.Config { return arch.TileGx72Scaled(12) }
 
+// text renders a report the way `ironhide-sim -format text` does.
+func text(t *testing.T, rep metrics.Tabular) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := metrics.EmitText(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 func TestMatrixAndFigures(t *testing.T) {
 	mx, err := RunMatrix(cfg(), fast())
 	if err != nil {
@@ -44,25 +54,19 @@ func TestMatrixAndFigures(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	mx.Fig1a(&buf)
-	out := buf.String()
+	out := text(t, mx.BuildFig1a())
 	if !strings.Contains(out, "IRONHIDE") || !strings.Contains(out, "normalized") {
 		t.Fatalf("fig1a output malformed:\n%s", out)
 	}
 
-	buf.Reset()
-	mx.Fig6(&buf)
-	out = buf.String()
+	out = text(t, mx.BuildFig6())
 	for _, want := range []string{"purge", "reconfig", "MI6/IRONHIDE", "per interaction event"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fig6 output missing %q:\n%s", want, out)
 		}
 	}
 
-	buf.Reset()
-	mx.Fig7(&buf)
-	out = buf.String()
+	out = text(t, mx.BuildFig7())
 	if !strings.Contains(out, "L1 MI6") || !strings.Contains(out, "geomean") {
 		t.Fatalf("fig7 output malformed:\n%s", out)
 	}
@@ -70,11 +74,11 @@ func TestMatrixAndFigures(t *testing.T) {
 
 func TestFig8SmallScale(t *testing.T) {
 	ec := Config{Scale: 0.03, Apps: []string{"<AES, QUERY>"}, Stride: 20}
-	var buf bytes.Buffer
-	if err := Fig8(cfg(), ec, &buf); err != nil {
+	rep, err := BuildFig8(cfg(), ec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	out := text(t, rep)
 	for _, want := range []string{"MI6", "Heuristic", "Optimal", "+5%", "-25%"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fig8 output missing %q:\n%s", want, out)
@@ -83,9 +87,7 @@ func TestFig8SmallScale(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	var buf bytes.Buffer
-	Table1(arch.TileGx72(), &buf)
-	out := buf.String()
+	out := text(t, BuildTable1(arch.TileGx72()))
 	for _, want := range []string{"8x8 mesh", "32 KB", "256 KB", "X-Y/Y-X", "DRAM regions"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table1 missing %q:\n%s", want, out)
@@ -95,11 +97,12 @@ func TestTable1(t *testing.T) {
 
 func TestSweep(t *testing.T) {
 	ec := Config{Scale: 1, Apps: []string{"<MEMCACHED, OS>"}}
-	var buf bytes.Buffer
-	points, err := Sweep(cfg(), ec, []int{20, 40}, &buf)
+	rep, err := BuildSweep(cfg(), ec, []int{20, 40})
 	if err != nil {
 		t.Fatal(err)
 	}
+	text(t, rep)
+	points := rep.Points
 	if len(points) != 4 { // 2 round counts x 2 models
 		t.Fatalf("%d sweep points", len(points))
 	}
@@ -125,14 +128,7 @@ func TestParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var a, b bytes.Buffer
-		if err := metrics.EmitText(&a, mx.BuildFig1a()); err != nil {
-			t.Fatal(err)
-		}
-		if err := metrics.EmitText(&b, mx.BuildFig7()); err != nil {
-			t.Fatal(err)
-		}
-		return a.String(), b.String()
+		return text(t, mx.BuildFig1a()), text(t, mx.BuildFig7())
 	}
 	f1Seq, f7Seq := render(1)
 	f1Par, f7Par := render(8)

@@ -319,10 +319,6 @@ func (m *Mesh) EnableOwnerTracking() {
 	}
 }
 
-// ResetOwners forgets every link's last user without touching traffic —
-// the boundary between two co-tenancy experiments on one mesh.
-func (m *Mesh) ResetOwners() { clear(m.lastUser) }
-
 // RecordRouteOwner charges the links of the dimension-ordered route from
 // src to dst exactly like RecordRoute, and additionally stamps each link
 // with the owning tenant, returning how many of the route's links were

@@ -335,15 +335,6 @@ func (m *Machine) SetTenantCores(t int, cores []arch.CoreID) {
 	m.tenantTrack = true
 }
 
-// ClearTenants disables co-tenancy link accounting and forgets core
-// ownership, per-tenant conflict counters, and per-link owner stamps.
-func (m *Machine) ClearTenants() {
-	m.tenantTrack = false
-	clear(m.tenantOf)
-	m.tenantConflicts = m.tenantConflicts[:0]
-	m.Mesh.ResetOwners()
-}
-
 // TenantConflicts returns the NoC link-contention events charged to tenant
 // t so far (zero for unknown tenants).
 func (m *Machine) TenantConflicts(t int) int64 {

@@ -43,13 +43,6 @@ func (f *FaultFS) Writes() int {
 	return f.writes
 }
 
-// Syncs returns how many file syncs the wrapped FS has seen.
-func (f *FaultFS) Syncs() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.syncs
-}
-
 func (f *FaultFS) MkdirAll(dir string) error            { return f.Inner.MkdirAll(dir) }
 func (f *FaultFS) ReadDir(dir string) ([]string, error) { return f.Inner.ReadDir(dir) }
 func (f *FaultFS) ReadFile(p string) ([]byte, error)    { return f.Inner.ReadFile(p) }

@@ -83,7 +83,9 @@ func TestReplayEquivalenceCatalog(t *testing.T) {
 // probes replay a shared capture has to allocate fewer total bytes than
 // the same oracle run with live payload probes. (Before the machine
 // arenas, replay allocated ~5% more than live — every probe built a fresh
-// ~10 MB machine and threw it away.)
+// ~10 MB machine and threw it away.) The same runs hold each side's
+// allocation count to its budget: 1.2x the steady-state count measured
+// when the bounds were pinned (live 54,375, replay 6,156).
 func TestOracleReplayAllocatesLessThanLive(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode randomly defeats sync.Pool recycling, so the arena's allocation savings don't hold")
@@ -98,9 +100,9 @@ func TestOracleReplayAllocatesLessThanLive(t *testing.T) {
 	// either side may pay for a fresh machine the other reused. One P and
 	// the minimum over a few runs measure both sides with recycled ones.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	measure := func(noReplay bool) uint64 {
+	measure := func(noReplay bool) (total, mallocs uint64) {
 		opts := driver.Options{Scale: 0.1, Optimal: true, OptimalStride: 4, NoReplay: noReplay, Seed: 5}
-		least := uint64(math.MaxUint64)
+		total, mallocs = math.MaxUint64, math.MaxUint64
 		for range 3 {
 			var before, after runtime.MemStats
 			runtime.GC()
@@ -109,15 +111,19 @@ func TestOracleReplayAllocatesLessThanLive(t *testing.T) {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
+			total = min(total, after.TotalAlloc-before.TotalAlloc)
+			mallocs = min(mallocs, after.Mallocs-before.Mallocs)
 		}
-		return least
+		return total, mallocs
 	}
-	live := measure(true)
-	replay := measure(false)
+	live, liveAllocs := measure(true)
+	replay, replayAllocs := measure(false)
 	if replay >= live {
 		t.Fatalf("oracle replay allocated %d bytes, live %d — replay must stay strictly below live", replay, live)
 	}
-	t.Logf("oracle total alloc: live %.1f MB, replay %.1f MB (%.2fx)",
-		float64(live)/1e6, float64(replay)/1e6, float64(live)/float64(replay))
+	if liveAllocs > 65250 || replayAllocs > 7386 {
+		t.Fatalf("oracle allocs/op: live %d (bound 65250), replay %d (bound 7386)", liveAllocs, replayAllocs)
+	}
+	t.Logf("oracle total alloc: live %.1f MB in %d allocs, replay %.1f MB in %d allocs (%.2fx)",
+		float64(live)/1e6, liveAllocs, float64(replay)/1e6, replayAllocs, float64(live)/float64(replay))
 }
