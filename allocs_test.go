@@ -68,16 +68,8 @@ var allocOps = []allocOp{
 			off = (off + line) % buf.Size
 		}
 	}},
-	// One binding-search probe of <AES, QUERY>: live execution, the
-	// one-time capture, and a replay of that capture.
-	{"SearchProbe/live", 3820, func(tb testing.TB) func() {
-		cfg, entry := arch.TileGx72(), appEntry(tb, "<AES, QUERY>")
-		return func() {
-			if _, err := driver.Profile(cfg, core.New(32), entry.Factory, probeOpts, probeCandidate); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}},
+	// One binding-search probe of <AES, QUERY>: the one-time capture, and
+	// a replay of that capture.
 	{"SearchProbe/capture", 8320, func(tb testing.TB) func() {
 		cfg, entry := arch.TileGx72(), appEntry(tb, "<AES, QUERY>")
 		return func() {

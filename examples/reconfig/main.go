@@ -31,10 +31,16 @@ func main() {
 
 	// Profile a few fixed splits: completion as a function of the secure
 	// cluster size (TC's atomics make big clusters counterproductive).
+	// One capture serves every probe.
+	opts := driver.Options{Scale: 0.1}
+	tr, err := driver.CaptureTrace(cfg, entry.Factory, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("profiling <TC, GRAPH> across fixed secure-cluster sizes:")
 	tb := metrics.NewTable("secure cores", "profiled completion (cycles)")
 	eval := func(k int) (float64, error) {
-		return driver.Profile(cfg, core.New(32), entry.Factory, driver.Options{Scale: 0.1}, k)
+		return driver.ProfileTrace(cfg, core.New(32), tr, opts, k)
 	}
 	for _, k := range []int{2, 8, 16, 32, 48, 62} {
 		v, err := eval(k)

@@ -24,8 +24,7 @@ func TestMachinePoolMatchesFresh(t *testing.T) {
 		// residue from differently configured runs.
 		for _, binding := range []int{12, 40} {
 			for _, model := range Models() {
-				res, err := Run(cfg, model, tinyApp,
-					Options{Seed: 7, FixedSecureCores: binding, NoReplay: true})
+				res, err := RunLive(cfg, model, tinyApp, Options{Seed: 7, FixedSecureCores: binding})
 				if err != nil {
 					t.Fatalf("%s/%d: %v", model.Name(), binding, err)
 				}

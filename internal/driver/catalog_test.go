@@ -1,4 +1,4 @@
-package ironhide
+package driver_test
 
 import (
 	"math"
@@ -10,6 +10,7 @@ import (
 	"ironhide/internal/arch"
 	"ironhide/internal/core"
 	"ironhide/internal/driver"
+	"ironhide/internal/enclave"
 )
 
 // The record-once/replay-many engine is only admissible if replay is
@@ -44,8 +45,7 @@ func TestReplayEquivalenceCatalog(t *testing.T) {
 				for _, binding := range bindings {
 					o := opts
 					o.FixedSecureCores = binding
-					o.NoReplay = true
-					live, err := driver.Run(cfg, model, entry.Factory, o)
+					live, err := driver.RunLive(cfg, model, entry.Factory, o)
 					if err != nil {
 						t.Fatalf("%s/%d live: %v", model.Name(), binding, err)
 					}
@@ -100,14 +100,14 @@ func TestOracleReplayAllocatesLessThanLive(t *testing.T) {
 	// either side may pay for a fresh machine the other reused. One P and
 	// the minimum over a few runs measure both sides with recycled ones.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	measure := func(noReplay bool) (total, mallocs uint64) {
-		opts := driver.Options{Scale: 0.1, Optimal: true, OptimalStride: 4, NoReplay: noReplay, Seed: 5}
+	opts := driver.Options{Scale: 0.1, Optimal: true, OptimalStride: 4, Seed: 5}
+	measure := func(run func(arch.Config, enclave.Model, driver.AppFactory, driver.Options) (*driver.Result, error)) (total, mallocs uint64) {
 		total, mallocs = math.MaxUint64, math.MaxUint64
 		for range 3 {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			if _, err := driver.Run(cfg, core.New(32), entry.Factory, opts); err != nil {
+			if _, err := run(cfg, core.New(32), entry.Factory, opts); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
@@ -116,8 +116,8 @@ func TestOracleReplayAllocatesLessThanLive(t *testing.T) {
 		}
 		return total, mallocs
 	}
-	live, liveAllocs := measure(true)
-	replay, replayAllocs := measure(false)
+	live, liveAllocs := measure(driver.RunLive)
+	replay, replayAllocs := measure(driver.Run)
 	if replay >= live {
 		t.Fatalf("oracle replay allocated %d bytes, live %d — replay must stay strictly below live", replay, live)
 	}

@@ -32,8 +32,7 @@ import (
 )
 
 // AppFactory builds a fresh instance of an application (fresh process
-// state, same seeds) — required because profiling probes and the measured
-// run must not share warmed state.
+// state, same seeds) for CaptureTrace to record.
 type AppFactory func() *workload.App
 
 // Options tune one run.
@@ -47,10 +46,6 @@ type Options struct {
 	// and waives the search/reconfiguration overheads (Figure 8's
 	// "Optimal").
 	Optimal bool
-	// Variation shifts the Optimal binding by this signed fraction of the
-	// machine's cores (Figure 8's fixed ±x% decisions). Requires Optimal
-	// search to locate the reference point.
-	Variation float64
 	// OptimalStride coarsens the exhaustive search (default 1).
 	OptimalStride int
 	// WaiveReconfig drops the one-time reconfiguration overhead even for a
@@ -62,11 +57,6 @@ type Options struct {
 	// The parallel runner assigns per-job seeds from grid position so a
 	// sweep yields identical results at any worker count.
 	Seed int64
-	// NoReplay forces live payload execution for every probe and run,
-	// disabling the record-once/replay-many acceleration. Replayed runs
-	// are byte-identical to live ones (the equivalence tests gate it), so
-	// this exists for benchmarking the speedup and for debugging.
-	NoReplay bool
 	// SearchWorkers bounds the worker pool the exhaustive Optimal search
 	// evaluates candidate bindings on (<= 1 sequential). Probes run on
 	// fresh machines and results are deterministic at any worker count.
@@ -147,88 +137,41 @@ func (r *Result) L2MissRate() float64 {
 	return float64(r.L2Misses) / float64(r.L2Accesses)
 }
 
-// appSource yields fresh, already-scaled application instances: live ones
-// built by the factory, or payload-free replays of a captured trace.
-// Profiling probes and the measured run must not share warmed state, so
-// every consumer takes a fresh instance.
-type appSource interface {
-	fresh() *workload.App
-}
-
-// liveSource builds real application instances and scales them.
-type liveSource struct {
-	factory AppFactory
-	scale   float64
-}
-
-func (s liveSource) fresh() *workload.App { return s.factory().Scaled(s.scale) }
-
-// traceSource builds replay applications over one shared capture —
-// batch-kernel replays by default, per-op reference replays on request.
-type traceSource struct {
-	tr        *trace.Trace
-	reference bool
-}
-
-func (s traceSource) fresh() *workload.App {
-	if s.reference {
-		return s.tr.NewReferenceApp()
-	}
-	return s.tr.NewApp()
-}
-
 // Run executes the application under the model and returns the result.
 //
-// Spatial runs that search for a cluster binding record the application
-// once and replay the captured operation stream for every heuristic or
-// Optimal probe and for the measured run — the payload (graph
-// relaxations, neural forward passes, AES rounds) executes exactly once
-// per Run instead of once per probe. Options.NoReplay restores the live
-// path.
+// Every timed run replays: Run records the application once and replays
+// the captured operation stream for every heuristic or Optimal probe and
+// for the measured run — the payload (graph relaxations, neural forward
+// passes, AES rounds) executes exactly once per Run instead of once per
+// probe.
 func Run(cfg arch.Config, model enclave.Model, factory AppFactory, opts Options) (*Result, error) {
-	src := appSource(liveSource{factory: factory, scale: opts.scale()})
-	if !model.Temporal() && opts.FixedSecureCores <= 0 && !opts.NoReplay {
-		tr, err := CaptureTrace(cfg, factory, opts)
-		if err != nil {
-			return nil, err
-		}
-		src = traceSource{tr: tr}
+	tr, err := CaptureTrace(cfg, factory, opts)
+	if err != nil {
+		return nil, err
 	}
-	return runModel(cfg, model, src, opts)
+	return RunTrace(cfg, model, tr, opts)
 }
 
 // RunTrace executes a previously captured trace under the model — the
-// payload-free path grids use to share one capture across the whole
-// (model × options) axis, since the recorded address stream is
-// model-independent. The trace must have been captured at the same
-// Options.Scale.
+// path grids use to share one capture across the whole (model × options)
+// axis, since the recorded address stream is model-independent. The
+// trace must have been captured at the same Options.Scale.
 func RunTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Options) (*Result, error) {
-	return replay(cfg, model, traceSource{tr: tr}, opts)
-}
-
-// RunTraceReference is RunTrace through the per-op reference replayer
-// instead of the pre-lowered batch kernel. It exists for the equivalence
-// gate: batch replay must be byte-identical to the reference interpreter,
-// which in turn is gated byte-identical to live execution.
-func RunTraceReference(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Options) (*Result, error) {
-	return replay(cfg, model, traceSource{tr: tr, reference: true}, opts)
-}
-
-// replay runs a captured trace once its capture scale checks out.
-func replay(cfg arch.Config, model enclave.Model, src traceSource, opts Options) (*Result, error) {
-	if err := checkScale(src.tr, opts.scale(), "replay"); err != nil {
+	if err := checkScale(tr, opts.scale(), "replay"); err != nil {
 		return nil, err
 	}
-	return runModel(cfg, model, src, opts)
+	return runModel(cfg, model, tr.NewApp, opts)
 }
 
 // runModel drives the model's way of sharing the machine: time-shared
 // (SGX-like, MI6) or space-shared (the insecure baseline, IRONHIDE).
-func runModel(cfg arch.Config, model enclave.Model, src appSource, opts Options) (*Result, error) {
+// fresh yields a fresh, already-scaled application instance per call:
+// profiling probes and the measured run must not share warmed state.
+func runModel(cfg arch.Config, model enclave.Model, fresh func() *workload.App, opts Options) (*Result, error) {
 	if model.Temporal() {
-		return runTemporal(cfg, model, src, opts)
+		return runTemporal(cfg, model, fresh, opts)
 	}
-	return runSpatial(cfg, model, src, opts)
+	return runSpatial(cfg, model, fresh, opts)
 }
 
 // checkScale rejects using a trace at a scale other than its capture's:
@@ -449,8 +392,8 @@ func resetCores(m *sim.Machine, cores []arch.CoreID) {
 // runTemporal drives the SGX-like and MI6 models: both processes
 // time-share the whole machine, so each round is one serial pass through
 // the pipeline with the enclave entry and exit protocols between stages.
-func runTemporal(cfg arch.Config, model enclave.Model, src appSource, opts Options) (*Result, error) {
-	app := src.fresh()
+func runTemporal(cfg arch.Config, model enclave.Model, fresh func() *workload.App, opts Options) (*Result, error) {
+	app := fresh()
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
@@ -603,25 +546,20 @@ func clusterCores(m *sim.Machine, app *workload.App, secureCores int) (sec, ins 
 	return sec, ins
 }
 
-// Profile measures a candidate binding with a short fresh live run; the
-// experiment harness reuses it to share one exhaustive search across
-// Figure 8's fixed-variation runs.
-func Profile(cfg arch.Config, model enclave.Model, factory AppFactory, opts Options, secureCores int) (float64, error) {
-	return profile(cfg, model, liveSource{factory: factory, scale: opts.scale()}, secureCores, opts.Interrupt)
-}
-
 // ProfileTrace measures a candidate binding by replaying a captured trace
-// — the payload-free probe the binding search runs.
+// — the payload-free probe the binding search runs; the experiment
+// harness reuses it to share one exhaustive search across Figure 8's
+// fixed-variation runs.
 func ProfileTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Options, secureCores int) (float64, error) {
 	if err := checkScale(tr, opts.scale(), "profile"); err != nil {
 		return 0, err
 	}
-	return profile(cfg, model, traceSource{tr: tr}, secureCores, opts.Interrupt)
+	return profile(cfg, model, tr.NewApp, secureCores, opts.Interrupt)
 }
 
 // profile measures a candidate binding with a short fresh run.
-func profile(cfg arch.Config, model enclave.Model, src appSource, secureCores int, interrupt func() error) (float64, error) {
-	app := src.fresh()
+func profile(cfg arch.Config, model enclave.Model, fresh func() *workload.App, secureCores int, interrupt func() error) (float64, error) {
+	app := fresh()
 	warm, rounds := profileLen(app)
 	mdl := model
 	if _, ok := model.(*core.IronHide); ok {
@@ -660,11 +598,11 @@ type SearchResult struct {
 }
 
 // SearchTrace runs only the cluster-binding search for a spatial model
-// over a captured trace — the trace-cache-friendly entry point an online
-// service uses: capture (or fetch) the trace once, search payload-free,
-// then replay the measured run at the chosen binding via RunTrace with
-// Options.FixedSecureCores. Temporal models time-share the whole machine
-// and have no binding to choose, so they are rejected.
+// over a captured trace — the entry point for callers that place a
+// binding without measuring a run at it (the scenario engine and the
+// joint scheduler). RunTrace with Options.FixedSecureCores at the chosen
+// binding reproduces the searched run. Temporal models time-share the
+// whole machine and have no binding to choose, so they are rejected.
 func SearchTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Options) (SearchResult, error) {
 	if model.Temporal() {
 		return SearchResult{}, fmt.Errorf("driver: temporal model %s has no cluster binding to search", model.Name())
@@ -672,14 +610,14 @@ func SearchTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Opt
 	if err := checkScale(tr, opts.scale(), "search"); err != nil {
 		return SearchResult{}, err
 	}
-	return chooseBinding(cfg, model, traceSource{tr: tr}, opts)
+	return chooseBinding(cfg, model, tr.NewApp, opts)
 }
 
 // chooseBinding picks the secure-cluster size for a spatial run: the
 // fixed binding when Options pins one (rejected unless it leaves both
 // clusters a core), otherwise the gradient heuristic or the exhaustive
 // Optimal oracle probing candidates via profile.
-func chooseBinding(cfg arch.Config, model enclave.Model, src appSource, opts Options) (SearchResult, error) {
+func chooseBinding(cfg arch.Config, model enclave.Model, fresh func() *workload.App, opts Options) (SearchResult, error) {
 	lo, hi := 1, cfg.Cores()-1
 	sr := SearchResult{SecureCores: opts.FixedSecureCores, WaiveReconfig: opts.WaiveReconfig}
 	if sr.SecureCores > hi {
@@ -694,17 +632,17 @@ func chooseBinding(cfg arch.Config, model enclave.Model, src appSource, opts Opt
 		if err := poll(opts.Interrupt); err != nil {
 			return 0, err
 		}
-		return profile(cfg, model, src, k, opts.Interrupt)
+		return profile(cfg, model, fresh, k, opts.Interrupt)
 	}
 	var hres heuristic.Result
 	var err error
-	if opts.Optimal || opts.Variation != 0 {
+	if opts.Optimal {
 		stride := opts.OptimalStride
 		if stride <= 0 {
 			stride = 1
 		}
 		hres, err = heuristic.OptimalParallel(lo, hi, stride, opts.searchWorkers(), eval)
-		sr.WaiveReconfig = sr.WaiveReconfig || opts.Optimal
+		sr.WaiveReconfig = true
 	} else {
 		hres, err = heuristic.Gradient(lo, hi, cfg.Cores()/2, cfg.Cores()/4, eval)
 	}
@@ -713,20 +651,17 @@ func chooseBinding(cfg arch.Config, model enclave.Model, src appSource, opts Opt
 	}
 	sr.SecureCores = hres.SecureCores
 	sr.Probes = hres.Probes
-	if opts.Variation != 0 {
-		sr.SecureCores = heuristic.Vary(sr.SecureCores, opts.Variation, cfg.Cores(), lo, hi)
-	}
 	return sr, nil
 }
 
 // runSpatial drives the insecure baseline and IRONHIDE.
-func runSpatial(cfg arch.Config, model enclave.Model, src appSource, opts Options) (*Result, error) {
-	app := src.fresh()
+func runSpatial(cfg arch.Config, model enclave.Model, fresh func() *workload.App, opts Options) (*Result, error) {
+	app := fresh()
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
 
-	sr, err := chooseBinding(cfg, model, src, opts)
+	sr, err := chooseBinding(cfg, model, fresh, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -152,21 +152,6 @@ func TestOptimalWaivesOverheads(t *testing.T) {
 	}
 }
 
-func TestVariationShiftsBinding(t *testing.T) {
-	cfg := arch.TileGx72()
-	base, err := Run(cfg, core.New(32), tinyApp, Options{Optimal: true, OptimalStride: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plus, err := Run(cfg, core.New(32), tinyApp, Options{Variation: +0.25, OptimalStride: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plus.SecureCores <= base.SecureCores {
-		t.Fatalf("+25%% variation gave %d cores vs optimal %d", plus.SecureCores, base.SecureCores)
-	}
-}
-
 func TestScaledRuns(t *testing.T) {
 	cfg := arch.TileGx72()
 	res, err := Run(cfg, enclave.Insecure{}, tinyApp, Options{Scale: 0.5, FixedSecureCores: 16})

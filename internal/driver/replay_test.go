@@ -27,8 +27,7 @@ func TestReplayEquivalenceTinyApp(t *testing.T) {
 		for _, binding := range []int{8, 16, 32, 48} {
 			o := opts
 			o.FixedSecureCores = binding
-			o.NoReplay = true
-			live, err := Run(cfg, model, tinyApp, o)
+			live, err := RunLive(cfg, model, tinyApp, o)
 			if err != nil {
 				t.Fatalf("%s/%d live: %v", model.Name(), binding, err)
 			}
@@ -48,7 +47,7 @@ func TestReplayEquivalenceTinyApp(t *testing.T) {
 // the probes execute the live payload or replay the capture.
 func TestSearchReplayMatchesLive(t *testing.T) {
 	cfg := arch.TileGx72()
-	live, err := Run(cfg, core.New(32), tinyApp, Options{Seed: 3, NoReplay: true})
+	live, err := RunLive(cfg, core.New(32), tinyApp, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestSearchReplayMatchesLive(t *testing.T) {
 // measurement) probe-for-probe under replay, at any search worker count.
 func TestOptimalReplayMatchesLive(t *testing.T) {
 	cfg := arch.TileGx72()
-	live, err := Run(cfg, core.New(32), tinyApp, Options{Optimal: true, OptimalStride: 8, Seed: 3, NoReplay: true})
+	live, err := RunLive(cfg, core.New(32), tinyApp, Options{Optimal: true, OptimalStride: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,7 +174,6 @@ func RunMatrix(cfg arch.Config, ec Config) (*Matrix, error) {
 		for mi, factory := range factories {
 			jobs = append(jobs, runner.Job{
 				Key:   entry.Name + "/" + models[mi].Name(),
-				App:   entry.Factory,
 				Model: factory,
 				Opts:  driver.Options{Scale: ec.scale(), SearchWorkers: ec.searchWorkers()},
 				Trace: traces[ei],
@@ -521,6 +520,7 @@ type SweepPoint struct {
 // BuildSweep runs the input-scale ablation (paper Section IV-B runs each
 // user app at 500..50K inputs): completion and MI6 purge share versus the
 // number of interaction rounds, as one (app × rounds × model) job grid.
+// Each (app, rounds) point is captured once and shared by both models.
 func BuildSweep(cfg arch.Config, ec Config, rounds []int) (*SweepReport, error) {
 	entries := ec.catalog()
 	if len(entries) > 2 {
@@ -531,20 +531,40 @@ func BuildSweep(cfg arch.Config, ec Config, rounds []int) (*SweepReport, error) 
 		func() enclave.Model { return core.New(32) },
 	}
 
-	var jobs []runner.Job
-	var appOf []string
+	type point struct {
+		entry apps.Entry
+		n     int
+		scale float64
+	}
+	var points []point
 	for _, entry := range entries {
 		base := entry.Factory()
 		for _, n := range rounds {
-			for _, model := range sweepModels {
-				jobs = append(jobs, runner.Job{
-					Key:   fmt.Sprintf("%s/%d/%s", entry.Name, n, model().Name()),
-					App:   entry.Factory,
-					Model: model,
-					Opts:  driver.Options{Scale: float64(n) / float64(base.Rounds)},
-				})
-				appOf = append(appOf, entry.Name)
-			}
+			points = append(points, point{entry: entry, n: n, scale: float64(n) / float64(base.Rounds)})
+		}
+	}
+	traces, err := runner.Map(ec.workers(), points, func(_ int, p point) (*trace.Trace, error) {
+		tr, err := driver.CaptureTrace(cfg, p.entry.Factory, driver.Options{Scale: p.scale})
+		if err != nil {
+			return nil, fmt.Errorf("capture %s/%d: %w", p.entry.Name, p.n, err)
+		}
+		return tr, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	var jobs []runner.Job
+	var appOf []string
+	for pi, p := range points {
+		for _, model := range sweepModels {
+			jobs = append(jobs, runner.Job{
+				Key:   fmt.Sprintf("%s/%d/%s", p.entry.Name, p.n, model().Name()),
+				Model: model,
+				Opts:  driver.Options{Scale: p.scale},
+				Trace: traces[pi],
+			})
+			appOf = append(appOf, p.entry.Name)
 		}
 	}
 

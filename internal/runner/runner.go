@@ -20,13 +20,12 @@ import (
 	"ironhide/internal/trace"
 )
 
-// Job is one cell of an experiment grid: an application factory run under
-// a freshly constructed security model with the given driver options.
+// Job is one cell of an experiment grid: a captured workload trace
+// replayed under a freshly constructed security model with the given
+// driver options.
 type Job struct {
 	// Key labels the job in errors and logs, e.g. "<AES, QUERY>/MI6".
 	Key string
-	// App builds a fresh application instance for this run.
-	App driver.AppFactory
 	// Model builds a fresh model instance. A factory rather than a value
 	// because models (IRONHIDE in particular) carry per-run mutable state
 	// and must not be shared between concurrent jobs.
@@ -34,12 +33,11 @@ type Job struct {
 	// Opts tune the run. If Opts.Seed is zero the Runner assigns a
 	// deterministic seed derived from its BaseSeed and the job's index.
 	Opts driver.Options
-	// Trace, when set, replays this pre-captured workload trace instead of
-	// executing the live payload. The recorded address stream is
-	// model-independent, so a grid captures each application once (at the
-	// job's scale) and shares the trace across its whole model × options
-	// axis; replayed results are byte-identical to live ones. The trace is
-	// read-only during replay and safe to share between concurrent jobs.
+	// Trace is the workload the job replays, captured at Opts.Scale. The
+	// recorded address stream is model-independent, so a grid captures
+	// each application once and shares the trace across its whole model ×
+	// options axis. The trace is read-only during replay and safe to share
+	// between concurrent jobs.
 	Trace *trace.Trace
 }
 
@@ -116,13 +114,11 @@ func (r *Runner) Run(jobs []Job) ([]Result, error) {
 		if opts.Seed == 0 {
 			opts.Seed = r.seedFor(i)
 		}
-		var res *driver.Result
-		var err error
-		if job.Trace != nil {
-			res, err = driver.RunTrace(r.Cfg, job.Model(), job.Trace, opts)
-		} else {
-			res, err = driver.Run(r.Cfg, job.Model(), job.App, opts)
+		if job.Trace == nil {
+			err := fmt.Errorf("job %q: no trace", job.Key)
+			return Result{Job: job, Index: i, Err: err}, err
 		}
+		res, err := driver.RunTrace(r.Cfg, job.Model(), job.Trace, opts)
 		if err != nil {
 			err = fmt.Errorf("job %q: %w", job.Key, err)
 		}

@@ -76,7 +76,13 @@ func tinyApp() *workload.App {
 	}
 }
 
-func tinyGrid() []Job {
+// tinyGrid replays one capture of tinyApp under three models.
+func tinyGrid(t *testing.T) []Job {
+	t.Helper()
+	tr, err := driver.CaptureTrace(arch.TileGx72(), tinyApp, driver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	models := []func() enclave.Model{
 		func() enclave.Model { return enclave.Insecure{} },
 		func() enclave.Model { return enclave.SGXLike{} },
@@ -86,9 +92,9 @@ func tinyGrid() []Job {
 	for i, model := range models {
 		jobs = append(jobs, Job{
 			Key:   fmt.Sprintf("tiny/%d", i),
-			App:   tinyApp,
 			Model: model,
 			Opts:  driver.Options{FixedSecureCores: 16},
+			Trace: tr,
 		})
 	}
 	return jobs
@@ -100,11 +106,11 @@ func TestRunnerParallelMatchesSequential(t *testing.T) {
 	cfg := arch.TileGx72()
 	seq := Runner{Cfg: cfg, Workers: 1}
 	par := Runner{Cfg: cfg, Workers: 8}
-	want, err := seq.Run(tinyGrid())
+	want, err := seq.Run(tinyGrid(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := par.Run(tinyGrid())
+	got, err := par.Run(tinyGrid(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +149,9 @@ func TestRunnerSeedsAreDeterministic(t *testing.T) {
 
 func TestRunnerReportsJobFailures(t *testing.T) {
 	cfg := arch.TileGx72()
-	jobs := tinyGrid()
+	jobs := tinyGrid(t)
 	broken := Job{
-		Key: "broken",
-		App: func() *workload.App { return &workload.App{} }, // fails Validate
+		Key: "broken", // no Trace to replay
 		Model: func() enclave.Model {
 			return enclave.Insecure{}
 		},
@@ -154,7 +159,7 @@ func TestRunnerReportsJobFailures(t *testing.T) {
 	jobs = append([]Job{broken}, jobs...)
 	r := Runner{Cfg: cfg, Workers: 4}
 	results, err := r.Run(jobs)
-	if err == nil || !strings.Contains(err.Error(), `job "broken"`) {
+	if err == nil || err.Error() != `job "broken": no trace` {
 		t.Fatalf("err = %v, want the broken job's failure", err)
 	}
 	if results[0].Err == nil {
@@ -163,37 +168,6 @@ func TestRunnerReportsJobFailures(t *testing.T) {
 	for _, res := range results[1:] {
 		if res.Err != nil || res.Res == nil {
 			t.Fatalf("healthy job %q lost: %+v", res.Job.Key, res)
-		}
-	}
-}
-
-// A grid cell replaying a shared capture must measure exactly what the
-// live cell measures — the property that lets one capture serve a whole
-// model axis.
-func TestRunnerSharedTraceMatchesLive(t *testing.T) {
-	cfg := arch.TileGx72()
-	tr, err := driver.CaptureTrace(cfg, tinyApp, driver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveJobs := tinyGrid()
-	replayJobs := tinyGrid()
-	for i := range replayJobs {
-		replayJobs[i].Trace = tr
-	}
-	r := Runner{Cfg: cfg, Workers: 4}
-	live, err := r.Run(liveJobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := r.Run(replayJobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live {
-		if !reflect.DeepEqual(live[i].Res, replayed[i].Res) {
-			t.Fatalf("job %q diverged under shared trace:\nlive:   %+v\nreplay: %+v",
-				live[i].Job.Key, live[i].Res, replayed[i].Res)
 		}
 	}
 }

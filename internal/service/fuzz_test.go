@@ -2,14 +2,83 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"ironhide/internal/arch"
 	"ironhide/internal/scenario"
 )
+
+// FuzzDecodeRequest feeds arbitrary bytes to the request path of all five
+// POST simulation endpoints: the one endpoint wrapper's body decoding,
+// then the endpoint's own validation. Accepted requests answer from a
+// stub instead of running their work, so nothing simulates. A body may be
+// rejected, but never with a panic, and only ever with 400 (malformed or
+// invalid) or 413 (past the size cap).
+func FuzzDecodeRequest(f *testing.F) {
+	s := New(Config{Arch: arch.TileGx72()})
+	var inflight atomic.Int64
+	endpoints := []struct {
+		path string
+		h    http.HandlerFunc
+		seed any
+	}{
+		{"/v1/search", endpoint(s, &inflight, validateOnly(s.searchPlan)),
+			Query{App: "sssp-graph", Model: "IRONHIDE", Scale: 0.1, Seed: 7}},
+		{"/v1/run", endpoint(s, &inflight, validateOnly(s.runPlan)),
+			Query{App: "sssp-graph", Model: "IRONHIDE", Scale: 0.1, Seed: 9, FixedSecureCores: 16}},
+		{"/v1/grid", endpoint(s, &inflight, validateOnly(s.gridPlan)),
+			GridRequest{Workers: 2, Cells: []Query{
+				{App: "sssp-graph", Model: "Insecure", Scale: 0.1, Seed: 11},
+				{App: "sssp-graph", Model: "MI6", Scale: 0.1, Seed: 11},
+			}}},
+		{"/v1/scenario", endpoint(s, &inflight, validateOnly(s.scenarioPlan)), streamSpec()},
+		{"/v1/joint", endpoint(s, &inflight, validateOnly(s.jointPlan)),
+			JointRequest{Apps: []string{"aes-query", "sssp-graph"}, Scale: 0.05, Seed: 7, Policy: "interference-aware"}},
+	}
+	serve := func(h http.HandlerFunc, path string, body []byte) int {
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec.Code
+	}
+	for _, ep := range endpoints {
+		body, err := json.Marshal(ep.seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if code := serve(ep.h, ep.path, body); code != http.StatusOK {
+			f.Fatalf("%s seed answered %d, want 200: %s", ep.path, code, body)
+		}
+		f.Add(body)
+		f.Add(append(bytes.Clone(body), "{}"...))
+		f.Add(body[:len(body)/2])
+	}
+	f.Add([]byte(`{"app":"nope","model":"IRONHIDE","timeout_ms":18446744073710}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, ep := range endpoints {
+			switch code := serve(ep.h, ep.path, body); code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			default:
+				t.Fatalf("%s answered %d for %q", ep.path, code, body)
+			}
+		}
+	})
+}
+
+// validateOnly keeps an endpoint's validation but replaces its work with
+// an empty answer under the server's default deadline, so a fuzzed body
+// that validates costs nothing to accept.
+func validateOnly[R any](prepare func(*R) (plan, error)) func(*R) (plan, error) {
+	return func(req *R) (plan, error) {
+		_, err := prepare(req)
+		return plan{work: func(context.Context) outcome { return outcome{body: struct{}{}} }}, err
+	}
+}
 
 // FuzzConsumeScenarioStream feeds arbitrary bytes to the client-side NDJSON
 // stream parser, which reads bodies from shards that may die or rot

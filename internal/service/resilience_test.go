@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
@@ -15,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"ironhide/internal/arch"
 	"ironhide/internal/store"
 )
 
@@ -352,6 +355,22 @@ func TestStoreReadThrough(t *testing.T) {
 	resp, _ = post(t, ts2, "/v1/run", q)
 	if got := resp.Header.Get("X-Ironhide-Cache"); got != srcHit {
 		t.Fatalf("second read source %q, want hit", got)
+	}
+}
+
+// A timeout_ms too large for a time.Duration is a far deadline, not one
+// that overflows into a near one.
+func TestHugeTimeoutDoesNotExpire(t *testing.T) {
+	s := New(Config{Arch: arch.TileGx72()})
+	// 18446744073710 ms is 2^64 ns plus 448 µs: unclamped, it wraps to a
+	// deadline 448 µs away.
+	for _, ms := range []int64{18446744073710, math.MaxInt64} {
+		ctx, cancel := s.requestContext(httptest.NewRequest(http.MethodPost, "/v1/run", nil), ms)
+		deadline, ok := ctx.Deadline()
+		cancel()
+		if ok && time.Until(deadline) < 24*time.Hour {
+			t.Fatalf("timeout_ms %d gave a deadline %v away", ms, time.Until(deadline))
+		}
 	}
 }
 

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"runtime"
@@ -418,7 +419,9 @@ func decodeStatus(err error) int {
 func (s *Server) requestContext(r *http.Request, timeoutMs int64) (context.Context, context.CancelFunc) {
 	timeout := s.cfg.DefaultTimeout
 	if timeoutMs > 0 {
-		timeout = time.Duration(timeoutMs) * time.Millisecond
+		// Clamped: past 2^63 ns the product would wrap to no deadline at
+		// all or to one microseconds away.
+		timeout = time.Duration(min(timeoutMs, int64(math.MaxInt64/time.Millisecond))) * time.Millisecond
 	}
 	if timeout <= 0 {
 		return r.Context(), func() {}
@@ -634,12 +637,7 @@ func (s *Server) searchPlan(q *Query) (plan, error) {
 		return nil
 	}
 	return s.queryPlan(q, spatial, func(mf func() enclave.Model, tr *trace.Trace, opts driver.Options) (any, error) {
-		sr, err := driver.SearchTrace(s.cfg.Arch, mf(), tr, opts)
-		if err != nil {
-			return nil, err
-		}
-		opts.FixedSecureCores = sr.SecureCores
-		opts.WaiveReconfig = sr.WaiveReconfig
+		// The run searches the binding itself and reports its outcome.
 		res, err := driver.RunTrace(s.cfg.Arch, mf(), tr, opts)
 		if err != nil {
 			return nil, err
@@ -647,8 +645,8 @@ func (s *Server) searchPlan(q *Query) (plan, error) {
 		return SearchResponse{
 			App:              res.App,
 			Model:            res.Model,
-			SecureCores:      sr.SecureCores,
-			Probes:           sr.Probes,
+			SecureCores:      res.SecureCores,
+			Probes:           res.SearchProbes,
 			CompletionCycles: res.CompletionCycles,
 			ComputeCycles:    res.ComputeCycles(),
 			EntryExitCycles:  res.EntryExitCycles,
@@ -735,7 +733,7 @@ func (s *Server) gridPlan(req *GridRequest) (plan, error) {
 			// An abandoned batch stops each in-flight replay at its next
 			// round checkpoint, complementing the dispatch-level Ctx below.
 			opts.Interrupt = ctxInterrupt(ctx)
-			jobs = append(jobs, runner.Job{Key: key, App: entries[i].Factory, Model: models[i], Opts: opts, Trace: pf.tr})
+			jobs = append(jobs, runner.Job{Key: key, Model: models[i], Opts: opts, Trace: pf.tr})
 			jobCell = append(jobCell, i)
 		}
 		// Ctx lets an abandoned batch stop dispatching replay jobs instead

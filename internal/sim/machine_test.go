@@ -229,6 +229,24 @@ func TestRehomeRequiresLocalHoming(t *testing.T) {
 	}
 }
 
+// Local homing pins a whole page to one slice of the domain's set, so a
+// one-slice set homes every page of an allocation on that slice.
+func TestLocalHomingPinsEveryPage(t *testing.T) {
+	m := newTestMachine(t)
+	m.SetHomePolicy(arch.Insecure, cache.NewLocalHome())
+	m.SetSlices(arch.Insecure, []cache.SliceID{7})
+	buf := m.NewSpace("p", arch.Insecure).Alloc("data", 8*m.Cfg.PageSize)
+	for off := 0; off < buf.Size; off += m.Cfg.PageSize {
+		_, _, home, err := m.PageOf(buf.Addr(off))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if home != 7 {
+			t.Fatalf("page homed on slice %d, want 7", home)
+		}
+	}
+}
+
 // Strong isolation: with routing isolation active, same-domain traffic
 // never records a link touching the other cluster.
 func TestRoutingIsolationNoDrift(t *testing.T) {
