@@ -9,6 +9,8 @@
 package ironhide
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"ironhide/internal/apps"
@@ -29,15 +31,19 @@ import (
 // allocOp is one named operation. bound is the most heap allocations one
 // call may make: 1.2x the steady-state count measured when the row was
 // pinned (the first call of a run fills pools and caches; AllocsPerRun's
-// warm-up call absorbs it).
+// warm-up call absorbs it). bytes, where set, is the same kind of ceiling
+// on the bytes one call allocates, for rows whose regressions are large
+// objects rather than many small ones: a throwaway machine or a retained
+// per-op decode costs megabytes in a handful of allocations.
 type allocOp struct {
 	name  string
 	bound float64
+	bytes float64
 	setup func(tb testing.TB) (op func())
 }
 
 var allocOps = []allocOp{
-	{"Table1Machine", 824, func(tb testing.TB) func() {
+	{"Table1Machine", 824, 9_204_240, func(tb testing.TB) func() {
 		cfg := arch.TileGx72()
 		return func() {
 			m := newMachine(tb, cfg)
@@ -50,13 +56,13 @@ var allocOps = []allocOp{
 	}},
 	// One steady-state Machine.Access on the full machine with routing
 	// isolation active: the operation every simulated reference pays.
-	{"AccessHotPath/l1-hit", 0, func(tb testing.TB) func() {
+	{"AccessHotPath/l1-hit", 0, 0, func(tb testing.TB) func() {
 		m, buf := hotPathMachine(tb)
 		addr := buf.Addr(0)
 		m.Access(0, addr, false, arch.Secure, 0)
 		return func() { m.Access(0, addr, false, arch.Secure, 1) }
 	}},
-	{"AccessHotPath/l2-miss", 0, func(tb testing.TB) func() {
+	{"AccessHotPath/l2-miss", 0, 0, func(tb testing.TB) func() {
 		m, buf := hotPathMachine(tb)
 		line := m.Cfg.LineSize
 		for off := 0; off < buf.Size; off += line {
@@ -70,7 +76,7 @@ var allocOps = []allocOp{
 	}},
 	// One binding-search probe of <AES, QUERY>: the one-time capture, and
 	// a replay of that capture.
-	{"SearchProbe/capture", 8320, func(tb testing.TB) func() {
+	{"SearchProbe/capture", 8320, 0, func(tb testing.TB) func() {
 		cfg, entry := arch.TileGx72(), appEntry(tb, "<AES, QUERY>")
 		return func() {
 			if _, err := driver.CaptureTrace(cfg, entry.Factory, probeOpts); err != nil {
@@ -78,7 +84,7 @@ var allocOps = []allocOp{
 			}
 		}
 	}},
-	{"SearchProbe/replay", 85, func(tb testing.TB) func() {
+	{"SearchProbe/replay", 85, 0, func(tb testing.TB) func() {
 		cfg, tr := arch.TileGx72(), probeTrace(tb)
 		return func() {
 			if _, err := driver.ProfileTrace(cfg, core.New(32), tr, probeOpts, probeCandidate); err != nil {
@@ -87,7 +93,7 @@ var allocOps = []allocOp{
 		}
 	}},
 	// The full strong-isolation purge: MI6's per-interaction cost.
-	{"Purge", 2, func(tb testing.TB) func() {
+	{"Purge", 2, 0, func(tb testing.TB) func() {
 		m := newMachine(tb, arch.TileGx72())
 		mi6 := enclave.MulticoreMI6{}
 		if err := mi6.Configure(m); err != nil {
@@ -96,7 +102,7 @@ var allocOps = []allocOp{
 		return func() { mi6.EnterSecure(m) }
 	}},
 	// One dynamic hardware isolation event on a fresh machine.
-	{"ReconfigBudget", 936, func(tb testing.TB) func() {
+	{"ReconfigBudget", 936, 10_027_363, func(tb testing.TB) func() {
 		cfg := arch.TileGx72()
 		return func() {
 			m := newMachine(tb, cfg)
@@ -113,10 +119,10 @@ var allocOps = []allocOp{
 	}},
 	// A resize-heavy multi-tenant timeline, without and with a streaming
 	// event sink.
-	{"ScenarioPhase", 7675, func(tb testing.TB) func() {
+	{"ScenarioPhase", 7675, 10_062_739, func(tb testing.TB) func() {
 		return func() { runScenario(tb, scenario.Options{}) }
 	}},
-	{"ScenarioStream", 7675, func(tb testing.TB) func() {
+	{"ScenarioStream", 7675, 10_062_739, func(tb testing.TB) func() {
 		return func() {
 			events := 0
 			rep := runScenario(tb, scenario.Options{Sink: func(scenario.StreamEvent) { events++ }})
@@ -126,10 +132,10 @@ var allocOps = []allocOp{
 		}
 	}},
 	// One app×model matrix on one runner worker and on all host cores.
-	{"GridSequential", 10039, func(tb testing.TB) func() { return gridOp(tb, 1) }},
-	{"GridParallel", 10041, func(tb testing.TB) func() { return gridOp(tb, runner.DefaultWorkers()) }},
+	{"GridSequential", 10039, 4_835_750, func(tb testing.TB) func() { return gridOp(tb, 1) }},
+	{"GridParallel", 10041, 4_835_750, func(tb testing.TB) func() { return gridOp(tb, runner.DefaultWorkers()) }},
 	// One space-shared co-run of two tenants on disjoint sub-gangs.
-	{"CoTenantReplay", 91, func(tb testing.TB) func() {
+	{"CoTenantReplay", 91, 0, func(tb testing.TB) func() {
 		cfg := arch.TileGx72Scaled(12)
 		tenants := tenantTraces(tb, cfg, 0.05)
 		res, err := sched.MachineResources(cfg, 0)
@@ -153,7 +159,7 @@ var allocOps = []allocOp{
 	}},
 	// The joint scheduler end to end: demand searches, every policy's
 	// partition and its scoring co-runs.
-	{"JointSearch", 3871, func(tb testing.TB) func() {
+	{"JointSearch", 3871, 1_809_677, func(tb testing.TB) func() {
 		cfg := arch.TileGx72Scaled(12)
 		tenants := tenantTraces(tb, cfg, 0.04)
 		workers := runner.DefaultWorkers()
@@ -167,8 +173,9 @@ var allocOps = []allocOp{
 			}
 		}
 	}},
-	// The varint decode a service pays on every untrusted trace upload.
-	{"TraceDecode", 124, func(tb testing.TB) func() {
+	// The varint validation a service pays on every untrusted trace
+	// upload: one pass over the bytes, no expanded form.
+	{"TraceDecode", 0, 0, func(tb testing.TB) func() {
 		tr := probeTrace(tb)
 		return func() {
 			if err := tr.Validate(); err != nil {
@@ -178,7 +185,7 @@ var allocOps = []allocOp{
 	}},
 	// The once-per-(trace, gang size) plan build every search probe
 	// amortizes; Clone presents the trace as a fresh deserialization would.
-	{"ReplayPlanLower", 858, func(tb testing.TB) func() {
+	{"ReplayPlanLower", 858, 3_511_277, func(tb testing.TB) func() {
 		tr := probeTrace(tb)
 		return func() {
 			cp := tr.Clone()
@@ -198,13 +205,34 @@ func TestAllocBudgets(t *testing.T) {
 	}
 	for _, row := range allocOps {
 		t.Run(row.name, func(t *testing.T) {
-			n := testing.AllocsPerRun(1, row.setup(t))
+			op := row.setup(t)
+			n := testing.AllocsPerRun(1, op)
 			if n > row.bound {
 				t.Fatalf("%.0f allocs/op, bound %.0f", n, row.bound)
 			}
 			t.Logf("%.0f allocs/op, bound %.0f", n, row.bound)
+			b := bytesPerRun(op)
+			if row.bytes > 0 && b > row.bytes {
+				t.Fatalf("%.0f bytes/op, bound %.0f", b, row.bytes)
+			}
+			t.Logf("%.0f bytes/op, bound %.0f", b, row.bytes)
 		})
 	}
+}
+
+// bytesPerRun is the fewest bytes one warm call of op allocated over three
+// calls. A GC can empty the machine pool mid-call and make that call build
+// a machine the steady state reuses; the minimum measures the steady state.
+func bytesPerRun(op func()) float64 {
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return float64(best)
 }
 
 // BenchmarkOps times every row of allocOps.

@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"ironhide/internal/arch"
@@ -37,12 +38,17 @@ func (s Stats) MissRate() float64 {
 // matches the cache's current generation: invalidating the whole cache is
 // then a single generation bump instead of a multi-megabyte memclr, which
 // is what lets a pooled machine reset in O(1) per cache. A zero line
-// (gen 0) is never resident because the cache generation starts at 1.
+// (gen 0) is never resident because the cache generation starts at 1 and
+// nextGen skips 0 on wrap.
+//
+// The layout is 24 bytes (pinned by a test): a 64-core machine holds
+// 294,912 lines, so every byte here is ~0.3 MB per simulated machine.
+// owner stores an arch.Domain, which has only the values 0 and 1.
 type line struct {
 	tag   uint64
-	gen   uint64
 	used  uint64 // LRU timestamp
-	owner arch.Domain
+	gen   uint32
+	owner uint8
 	dirty bool
 }
 
@@ -52,7 +58,7 @@ type Cache struct {
 	ways      int
 	lineShift uint
 	setMask   uint64
-	gen       uint64
+	gen       uint32
 	lines     []line // sets*ways, set-major
 	// Per-set MRU filter: the last line hit or installed in each set.
 	// Hot access patterns rotate over a handful of lines (a state buffer,
@@ -109,12 +115,26 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // Reset restores the cache to its freshly built state — empty, zero
 // counters, zero clock — in O(1): residency is generational, so bumping
 // the generation invalidates every line without touching the line array.
-// The machine arena relies on this to recycle ~10 MB of cache state per
+// The machine arena relies on this to recycle ~7 MB of cache state per
 // probe without a memclr.
 func (c *Cache) Reset() {
-	c.gen++
+	c.nextGen()
 	c.clock = 0
 	c.stats = Stats{}
+}
+
+// nextGen invalidates every line by advancing the generation. It is the
+// only place the generation changes. When the 32-bit counter wraps, lines
+// stamped with old generations could alias the new ones, so the line
+// array is cleared (every line back to gen 0, never resident) and the
+// count restarts at 1 — once per 2^32 invalidations.
+func (c *Cache) nextGen() {
+	if c.gen == math.MaxUint32 {
+		clear(c.lines)
+		c.gen = 1
+		return
+	}
+	c.gen++
 }
 
 // SetIndexOf exposes the set an address maps to; the attack harness uses
@@ -209,15 +229,15 @@ func (c *Cache) ScanAccess(addr arch.Addr, write bool, owner arch.Domain) Result
 		slot = victim
 		v := &set[slot]
 		res.Evicted = true
-		res.VictimOwner = v.owner
-		res.VictimWasOther = v.owner != owner
+		res.VictimOwner = arch.Domain(v.owner)
+		res.VictimWasOther = arch.Domain(v.owner) != owner
 		if v.dirty {
 			res.WroteBack = true
 			c.stats.WriteBacks++
 		}
 		c.stats.Evictions++
 	}
-	set[slot] = line{tag: tag, gen: c.gen, dirty: write, owner: owner, used: c.clock}
+	set[slot] = line{tag: tag, gen: c.gen, dirty: write, owner: uint8(owner), used: c.clock}
 	c.mruOf[tag&c.setMask] = &set[slot]
 	return res
 }
@@ -248,7 +268,7 @@ func (c *Cache) SetOccupancyByOwner(set int, owner arch.Domain) int {
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
 		l := &c.lines[base+w]
-		if l.gen == c.gen && l.owner == owner {
+		if l.gen == c.gen && arch.Domain(l.owner) == owner {
 			n++
 		}
 	}
@@ -259,7 +279,7 @@ func (c *Cache) SetOccupancyByOwner(set int, owner arch.Domain) int {
 func (c *Cache) OccupancyByOwner(owner arch.Domain) int {
 	n := 0
 	for i := range c.lines {
-		if c.lines[i].gen == c.gen && c.lines[i].owner == owner {
+		if c.lines[i].gen == c.gen && arch.Domain(c.lines[i].owner) == owner {
 			n++
 		}
 	}
@@ -334,7 +354,7 @@ func (c *Cache) FlushInvalidate() FlushResult {
 		}
 	}
 	// Invalidate with one generation bump instead of a per-line store.
-	c.gen++
+	c.nextGen()
 	c.stats.Flushes++
 	return fr
 }

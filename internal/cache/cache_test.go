@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ironhide/internal/arch"
 )
@@ -207,5 +209,69 @@ func TestMissRate(t *testing.T) {
 	s = Stats{Accesses: 4, Misses: 1}
 	if got := s.MissRate(); got != 0.25 {
 		t.Fatalf("MissRate = %v, want 0.25", got)
+	}
+}
+
+// A line is 24 bytes: the machine's resident size is dominated by its
+// 294,912 lines, so growing the struct is a memory regression.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 24 {
+		t.Fatalf("sizeof(line) = %d, want 24", got)
+	}
+}
+
+// The 32-bit generation wraps to a cleared line array: after Reset or
+// FlushInvalidate at MaxUint32 nothing is resident — neither the lines of
+// the last generation nor older lines stamped with generation 1, which a
+// wrap that skipped the clear would revive — the per-set MRU pointers
+// (which still point at the old lines) do not hit, and a re-access
+// misses, then hits.
+func TestGenerationWrap(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		invalidate func(c *Cache)
+	}{
+		{"Reset", (*Cache).Reset},
+		{"FlushInvalidate", func(c *Cache) { c.FlushInvalidate() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := small()
+			old := []arch.Addr{0x0100, 0x0140} // stamped with generation 1
+			live := []arch.Addr{0x0000, 0x0040, 0x0080, 0x0200}
+			for _, a := range old {
+				c.Access(a, true, arch.Insecure)
+			}
+			c.SetGenForTest(math.MaxUint32)
+			for _, a := range live {
+				c.Access(a, true, arch.Secure)
+			}
+			if got := c.Occupancy(); got != len(live) {
+				t.Fatalf("occupancy before the wrap = %d, want %d", got, len(live))
+			}
+			if !c.HitMRU(live[1], false) {
+				t.Fatal("resident MRU line missed before the wrap")
+			}
+			tc.invalidate(c)
+			if got := c.Occupancy(); got != 0 {
+				t.Fatalf("occupancy after the wrap = %d, want 0", got)
+			}
+			all := append(append([]arch.Addr(nil), old...), live...)
+			for _, a := range all {
+				if c.HitMRU(a, false) {
+					t.Fatalf("stale MRU pointer hit %#x after the wrap", a)
+				}
+				if c.Contains(a) {
+					t.Fatalf("%#x still resident after the wrap", a)
+				}
+			}
+			for _, a := range all {
+				if r := c.Access(a, false, arch.Insecure); r.Hit || r.Evicted {
+					t.Fatalf("first access to %#x after the wrap = %+v, want a clean miss", a, r)
+				}
+				if r := c.Access(a, false, arch.Insecure); !r.Hit {
+					t.Fatalf("second access to %#x after the wrap missed", a)
+				}
+			}
+		})
 	}
 }

@@ -64,12 +64,9 @@ func (ih *IronHide) Reconfigurations() int { return ih.reconfigs }
 // Configure implements enclave.Model: form the clusters, partition the
 // memory system, arm the hardware check, isolate the network.
 func (ih *IronHide) Configure(m *sim.Machine) error {
-	split, err := noc.NewSplit(ih.initialSecureCores, m.Cfg)
+	split, err := ClusterSplit(ih.initialSecureCores, m.Cfg)
 	if err != nil {
 		return err
-	}
-	if split.Size(noc.SecureCluster) == 0 || split.Size(noc.InsecureCluster) == 0 {
-		return fmt.Errorf("core: both clusters need at least one core, secure=%d", ih.initialSecureCores)
 	}
 	if err := m.Part.AssignDomains(enclave.SecureControllerMask); err != nil {
 		return err
@@ -81,6 +78,20 @@ func (ih *IronHide) Configure(m *sim.Machine) error {
 	m.SetSplit(split, true)
 	ih.reconfigs = 0
 	return nil
+}
+
+// ClusterSplit validates the two-cluster split Configure installs for a
+// secure cluster of secureCores cores: it must fit the mesh and leave
+// both clusters at least one core.
+func ClusterSplit(secureCores int, cfg arch.Config) (noc.Split, error) {
+	split, err := noc.NewSplit(secureCores, cfg)
+	if err != nil {
+		return noc.Split{}, err
+	}
+	if split.Size(noc.SecureCluster) == 0 || split.Size(noc.InsecureCluster) == 0 {
+		return noc.Split{}, fmt.Errorf("core: both clusters need at least one core, secure=%d", secureCores)
+	}
+	return split, nil
 }
 
 // EnterSecure implements enclave.Model: pinned processes interact through

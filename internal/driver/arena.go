@@ -9,7 +9,7 @@ import (
 
 // The machine arena. A binding search runs dozens of probes, and every
 // probe needs a machine in the fresh all-shared state — but a 64-core
-// machine is ~10 MB of cache, TLB, routing, and traffic arrays, and
+// machine is ~7.7 MB of cache, TLB, routing, and traffic arrays, and
 // building one per probe dominates the replay path's allocation profile.
 // Machines therefore recycle through per-configuration pools: acquire
 // takes a pooled machine and Resets it (generation bumps — no memclr of
@@ -27,9 +27,9 @@ var machinePools sync.Map // arch.Config -> *sync.Pool of *sim.Machine
 // against.
 var disableMachinePool bool
 
-// acquireMachine returns a machine in the fresh all-shared state for cfg:
+// AcquireMachine returns a machine in the fresh all-shared state for cfg:
 // a pooled one after Reset, or a newly built one when the pool is empty.
-func acquireMachine(cfg arch.Config) (*sim.Machine, error) {
+func AcquireMachine(cfg arch.Config) (*sim.Machine, error) {
 	if !disableMachinePool {
 		if p, ok := machinePools.Load(cfg); ok {
 			if v := p.(*sync.Pool).Get(); v != nil {
@@ -42,10 +42,10 @@ func acquireMachine(cfg arch.Config) (*sim.Machine, error) {
 	return sim.NewMachine(cfg)
 }
 
-// releaseMachine returns a machine to its configuration's pool. Call it
+// ReleaseMachine returns a machine to its configuration's pool. Call it
 // only once every measurement has been read off the machine; error paths
 // simply drop their machine instead.
-func releaseMachine(m *sim.Machine) {
+func ReleaseMachine(m *sim.Machine) {
 	if m == nil || disableMachinePool {
 		return
 	}

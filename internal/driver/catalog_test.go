@@ -83,7 +83,7 @@ func TestReplayEquivalenceCatalog(t *testing.T) {
 // probes replay a shared capture has to allocate fewer total bytes than
 // the same oracle run with live payload probes. (Before the machine
 // arenas, replay allocated ~5% more than live — every probe built a fresh
-// ~10 MB machine and threw it away.) The same runs hold each side's
+// ~12 MB machine and threw it away.) The same runs hold each side's
 // allocation count to its budget: 1.2x the steady-state count measured
 // when the bounds were pinned (live 54,375, replay 6,156).
 func TestOracleReplayAllocatesLessThanLive(t *testing.T) {

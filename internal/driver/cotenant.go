@@ -140,11 +140,11 @@ func CoRunTraces(cfg arch.Config, tenants []CoTenant, opts CoRunOptions) (*CoRun
 		secCores = cfg.Cores() / 2
 	}
 
-	m, err := acquireMachine(cfg)
+	m, err := AcquireMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer releaseMachine(m)
+	defer ReleaseMachine(m)
 	ih := core.New(secCores)
 	if err := ih.Configure(m); err != nil {
 		return nil, err

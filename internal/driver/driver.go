@@ -210,7 +210,7 @@ func CaptureTrace(cfg arch.Config, factory AppFactory, opts Options) (*trace.Tra
 	m.SetLiteExec(true)
 	p := newPipeline(m, ring, recApp, sec, ins, 0, rounds)
 	err = p.run(opts.Interrupt)
-	releaseMachine(m)
+	ReleaseMachine(m)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +317,7 @@ func InitTenant(m *sim.Machine, app *workload.App) error {
 // setup builds the machine, configures the model, initializes both
 // processes and the shared IPC ring.
 func setup(cfg arch.Config, model enclave.Model, app *workload.App) (*sim.Machine, *ipc.Ring, error) {
-	m, err := acquireMachine(cfg)
+	m, err := AcquireMachine(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -411,7 +411,7 @@ func runTemporal(cfg arch.Config, model enclave.Model, fresh func() *workload.Ap
 	p := newPipeline(m, ring, app, secCores, gangCores(all, app.Insecure.Threads()), app.Warmup, app.Rounds)
 	p.protocol = model
 	if err := p.run(opts.Interrupt); err != nil {
-		releaseMachine(m)
+		ReleaseMachine(m)
 		return nil, err
 	}
 	res := &Result{App: app.String(), Class: app.Class, Model: model.Name(), Rounds: app.Rounds,
@@ -422,7 +422,7 @@ func runTemporal(cfg arch.Config, model enclave.Model, fresh func() *workload.Ap
 		res.EntryExitCycles = p.charged
 	}
 	collectStats(m, res)
-	releaseMachine(m)
+	ReleaseMachine(m)
 	return res, nil
 }
 
@@ -580,7 +580,7 @@ func profile(cfg arch.Config, model enclave.Model, fresh func() *workload.App, s
 	sec, ins := clusterCores(m, app, secureCores)
 	p := newPipeline(m, ring, app, sec, ins, warm, rounds)
 	err = p.run(interrupt)
-	releaseMachine(m)
+	ReleaseMachine(m)
 	if err != nil {
 		return 0, err
 	}
@@ -713,7 +713,7 @@ func runSpatial(cfg arch.Config, model enclave.Model, fresh func() *workload.App
 	sec, ins := clusterCores(m, app, binding)
 	p := newPipeline(m, ring, app, sec, ins, app.Warmup, app.Rounds)
 	if err := p.run(opts.Interrupt); err != nil {
-		releaseMachine(m)
+		ReleaseMachine(m)
 		return nil, err
 	}
 
@@ -731,7 +731,7 @@ func runSpatial(cfg arch.Config, model enclave.Model, fresh func() *workload.App
 	res.Interactions = p.interactions
 	res.SecureCores = binding
 	collectStats(m, res)
-	releaseMachine(m)
+	ReleaseMachine(m)
 	return res, nil
 }
 

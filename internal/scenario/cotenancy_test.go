@@ -2,8 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
+
+	"ironhide/internal/apps"
+	"ironhide/internal/driver"
+	"ironhide/internal/trace"
 )
 
 // Co-tenancy timelines must hold the same determinism contract as
@@ -107,5 +112,67 @@ func TestCoTenancyPoliciesAndValidation(t *testing.T) {
 		if err := spec.Validate(); err == nil {
 			t.Fatalf("spec %+v accepted", spec)
 		}
+	}
+}
+
+// memoTraces captures each application once per test and shares the
+// trace across runs, as the service's trace cache does.
+func memoTraces() func(apps.Entry, float64) (*trace.Trace, error) {
+	var mu sync.Mutex
+	memo := map[string]*trace.Trace{}
+	return func(entry apps.Entry, scale float64) (*trace.Trace, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		key := fmt.Sprintf("%s@%g", entry.Alias, scale)
+		if tr, ok := memo[key]; ok {
+			return tr, nil
+		}
+		tr, err := driver.CaptureTrace(testCfg(), entry.Factory, driver.Options{Scale: scale})
+		if err != nil {
+			return nil, err
+		}
+		memo[key] = tr
+		return tr, nil
+	}
+}
+
+// Every generated co-tenant timeline completes under every reconfiguration
+// policy. When a tenant arrives at a binding outside [tenants,
+// cores-tenants] — left there by an earlier deferral — the phase cannot
+// pack every tenant into both clusters, so the engine forces the resize
+// the policy would defer. "always" never defers, so it never forces.
+func TestCoTenantTimelinesCompleteUnderEveryPolicy(t *testing.T) {
+	traceFor := memoTraces()
+	for _, pol := range ReconfigPolicyNames() {
+		t.Run(pol, func(t *testing.T) {
+			t.Parallel()
+			forced := 0
+			for seed := int64(1); seed <= 30; seed++ {
+				spec := Spec{Seed: seed, Scale: 0.05, Events: 8, CoTenancy: true, ReconfigPolicy: pol}
+				rep, err := Run(testCfg(), spec, Options{TraceFor: traceFor})
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if rep.RouteViolations != 0 {
+					t.Fatalf("seed %d: %d route violations", seed, rep.RouteViolations)
+				}
+				for _, ph := range rep.Phases {
+					n := len(ph.Tenants)
+					if ph.BindingTo < n || ph.BindingTo > testCfg().Cores()-n {
+						t.Fatalf("seed %d phase %d: binding %d leaves one of %d tenants without a core", seed, ph.Index, ph.BindingTo, n)
+					}
+					if ph.ForcedResize {
+						forced++
+						if ph.PolicyDeferred || ph.BudgetDenied || ph.CoresMoved == 0 || ph.PurgeCycles <= 0 {
+							t.Fatalf("seed %d phase %d: implausible forced resize %+v", seed, ph.Index, ph)
+						}
+					}
+				}
+			}
+			t.Logf("%s: %d forced resizes", pol, forced)
+			if (pol == "always") != (forced == 0) {
+				t.Fatalf("%d forced resizes under %s", forced, pol)
+			}
+		})
 	}
 }

@@ -25,6 +25,7 @@ const (
 	EvLoadShift = "load-shift"
 	// EvResizeAuthorized fires when the kernel authorized a cluster
 	// resize and the machine performed it (cores/pages moved are final).
+	// Reason is ResizeForced when the policy could not defer it.
 	EvResizeAuthorized = "resize-authorized"
 	// EvResizeDenied fires when a wanted resize did not happen; Reason
 	// distinguishes the kernel's budget from the reconfiguration policy.
@@ -38,7 +39,8 @@ const (
 	EvPhaseComplete = "phase-complete"
 )
 
-// Resize-denied reasons.
+// Resize reasons: why a wanted resize was denied, or why an authorized
+// one bypassed the reconfiguration policy.
 const (
 	// DeniedBudget: the kernel's once-per-invocation reconfiguration
 	// budget refused the resize.
@@ -46,6 +48,10 @@ const (
 	// DeniedPolicy: the reconfiguration policy deferred the resize before
 	// the kernel was even asked.
 	DeniedPolicy = "policy"
+	// ResizeForced: the installed binding left a resident tenant without
+	// a core in some cluster, so the engine attempted the resize without
+	// consulting the policy.
+	ResizeForced = "forced"
 )
 
 // StreamEvent is one typed engine emission. Type selects which fields are

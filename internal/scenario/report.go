@@ -51,6 +51,10 @@ type Phase struct {
 	// purge paid, binding unchanged. Distinct from BudgetDenied, where
 	// the policy approved but the kernel refused.
 	PolicyDeferred bool `json:"policy_deferred,omitempty"`
+	// ForcedResize marks a resize the policy was not allowed to defer: the
+	// installed binding left some resident tenant without a core in one
+	// of the clusters. Its purge is billed like any other resize.
+	ForcedResize bool `json:"forced_resize,omitempty"`
 
 	// PurgeCycles is the dynamic-hardware-isolation stall of this phase's
 	// resize: private L1/TLB flushes of every core that changed domains,
@@ -129,6 +133,9 @@ func (r *Report) Sections() []metrics.Section {
 		}
 		if p.PolicyDeferred {
 			binding += " DEFERRED"
+		}
+		if p.ForcedResize {
+			binding += " FORCED"
 		}
 		timeline.Rows = append(timeline.Rows, []string{
 			fmt.Sprintf("%d", p.Index), p.Event, strings.Join(p.Tenants, "+"), binding,

@@ -362,6 +362,9 @@ func Run(cfg arch.Config, spec Spec, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The report carries no reference to the machine, so it goes back to
+	// the driver's pool however the run ends.
+	defer driver.ReleaseMachine(e.m)
 	timeline := spec.Timeline
 	if len(timeline) == 0 {
 		timeline = Generate(spec)
@@ -428,7 +431,7 @@ func newEngine(cfg arch.Config, spec Spec, opts Options) (*engine, error) {
 	}
 	e.policy = pol
 	e.ironhide = strings.EqualFold(spec.model(), "IRONHIDE")
-	m, err := sim.NewMachine(cfg)
+	m, err := driver.AcquireMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -659,12 +662,7 @@ func (e *engine) target() int {
 		sum += demand
 	}
 	target := int(sum/float64(len(e.tenants)) + 0.5)
-	lo, hi := 1, e.cfg.Cores()-1
-	if e.spec.CoTenancy {
-		// Space sharing needs a core per tenant in each cluster.
-		lo = len(e.tenants)
-		hi = e.cfg.Cores() - len(e.tenants)
-	}
+	lo, hi := e.bounds()
 	if target < lo {
 		target = lo
 	}
@@ -672,6 +670,16 @@ func (e *engine) target() int {
 		target = hi
 	}
 	return target
+}
+
+// bounds is the range of secure-cluster sizes the resident mix can run
+// at: both clusters keep a core, and space sharing needs a core per
+// tenant in each cluster.
+func (e *engine) bounds() (lo, hi int) {
+	if e.spec.CoTenancy {
+		return len(e.tenants), e.cfg.Cores() - len(e.tenants)
+	}
+	return 1, e.cfg.Cores() - 1
 }
 
 // resize installs the tenant mix's target binding on the shared machine.
@@ -689,7 +697,10 @@ func (e *engine) resize(ph *Phase) error {
 		return nil
 	}
 	// The reconfiguration policy decides whether the demanded resize is
-	// even attempted; a deferral spends no budget and purges nothing.
+	// even attempted; a deferral spends no budget and purges nothing. A
+	// binding outside the mix's bounds would leave a resident without a
+	// core, so the policy cannot defer that resize: it is forced.
+	forced := false
 	if !e.policy.Decide(PolicyInput{
 		Phase:           ph.Index,
 		Current:         e.binding,
@@ -697,10 +708,14 @@ func (e *engine) resize(ph *Phase) error {
 		LastPurgeCycles: e.lastPurge,
 		LastPhaseCycles: e.lastPhase,
 	}) {
-		ph.PolicyDeferred = true
-		e.emit(StreamEvent{Type: EvResizeDenied, Phase: ph.Index, Reason: DeniedPolicy,
-			BindingFrom: e.binding, BindingTo: target})
-		return nil
+		if lo, hi := e.bounds(); e.binding < lo || e.binding > hi {
+			forced = true
+		} else {
+			ph.PolicyDeferred = true
+			e.emit(StreamEvent{Type: EvResizeDenied, Phase: ph.Index, Reason: DeniedPolicy,
+				BindingFrom: e.binding, BindingTo: target})
+			return nil
+		}
 	}
 	if e.ironhide {
 		if err := e.k.AuthorizeReconfig(); err != nil {
@@ -732,9 +747,14 @@ func (e *engine) resize(ph *Phase) error {
 	from := e.binding
 	e.binding = target
 	ph.BindingTo = target
-	e.emit(StreamEvent{Type: EvResizeAuthorized, Phase: ph.Index,
+	ev := StreamEvent{Type: EvResizeAuthorized, Phase: ph.Index,
 		BindingFrom: from, BindingTo: target,
-		CoresMoved: ph.CoresMoved, PagesMoved: ph.PagesMoved})
+		CoresMoved: ph.CoresMoved, PagesMoved: ph.PagesMoved}
+	if forced {
+		ph.ForcedResize = true
+		ev.Reason = ResizeForced
+	}
+	e.emit(ev)
 	return nil
 }
 

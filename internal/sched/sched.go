@@ -24,7 +24,8 @@ import (
 	"ironhide/internal/cache"
 	"ironhide/internal/core"
 	"ironhide/internal/driver"
-	"ironhide/internal/sim"
+	"ironhide/internal/enclave"
+	"ironhide/internal/mem"
 	"ironhide/internal/trace"
 )
 
@@ -84,27 +85,31 @@ type Resources struct {
 	InsecureRegions []int
 }
 
-// MachineResources reads the partitionable resources off a freshly
-// configured machine: the authoritative source for which DRAM regions the
-// secure controller mask grants each domain.
+// MachineResources derives the partitionable resources of a machine
+// configured by core.New(secureCores).Configure, without building one:
+// the DRAM regions each domain owns depend only on the configuration and
+// the secure controller mask, and the split is validated exactly as
+// Configure validates it.
 func MachineResources(cfg arch.Config, secureCores int) (Resources, error) {
 	if secureCores <= 0 {
 		secureCores = cfg.Cores() / 2
 	}
-	m, err := sim.NewMachine(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Resources{}, err
 	}
-	if err := core.New(secureCores).Configure(m); err != nil {
+	if _, err := core.ClusterSplit(secureCores, cfg); err != nil {
 		return Resources{}, err
 	}
-	res := Resources{
+	part := mem.NewPartition(cfg)
+	if err := part.AssignDomains(enclave.SecureControllerMask); err != nil {
+		return Resources{}, err
+	}
+	return Resources{
 		Cfg:             cfg,
 		SecureCores:     secureCores,
-		SecureRegions:   append([]int(nil), m.Part.RegionsOf(arch.Secure)...),
-		InsecureRegions: append([]int(nil), m.Part.RegionsOf(arch.Insecure)...),
-	}
-	return res, nil
+		SecureRegions:   part.RegionsOf(arch.Secure),
+		InsecureRegions: part.RegionsOf(arch.Insecure),
+	}, nil
 }
 
 // Policy turns per-tenant core demands into a candidate partition.

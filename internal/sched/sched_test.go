@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"ironhide/internal/arch"
+	"ironhide/internal/core"
 	"ironhide/internal/driver"
 	"ironhide/internal/graphalg"
 	"ironhide/internal/graphgen"
+	"ironhide/internal/sim"
 	"ironhide/internal/workload"
 )
 
@@ -217,5 +219,43 @@ func TestJointSearchRejectsBadInput(t *testing.T) {
 	}
 	if _, err := JointSearch(cfg, []Tenant{{Name: "a"}, {Name: "b"}}, Options{}); err == nil {
 		t.Fatal("accepted nil traces")
+	}
+}
+
+// MachineResources derives the regions without building a machine; it
+// must read exactly what a machine configured by core.New(k).Configure
+// holds, and fail for exactly the splits Configure rejects.
+func TestMachineResourcesMatchesConfiguredMachine(t *testing.T) {
+	for _, cfg := range []arch.Config{arch.TileGx72(), arch.TileGx72Scaled(12)} {
+		m, err := sim.NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := -1; k <= cfg.Cores()+1; k++ {
+			got, gotErr := MachineResources(cfg, k)
+			want := k
+			if want <= 0 {
+				want = cfg.Cores() / 2
+			}
+			m.Reset()
+			wantErr := core.New(want).Configure(m)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("secure cores %d: MachineResources error %v, Configure error %v", k, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				continue
+			}
+			if got.SecureCores != want || got.Cfg != cfg {
+				t.Fatalf("secure cores %d: resources %+v", k, got)
+			}
+			if !reflect.DeepEqual(got.SecureRegions, m.Part.RegionsOf(arch.Secure)) ||
+				!reflect.DeepEqual(got.InsecureRegions, m.Part.RegionsOf(arch.Insecure)) {
+				t.Fatalf("secure cores %d: regions %v / %v, configured machine %v / %v", k,
+					got.SecureRegions, got.InsecureRegions, m.Part.RegionsOf(arch.Secure), m.Part.RegionsOf(arch.Insecure))
+			}
+		}
+	}
+	if _, err := MachineResources(arch.Config{}, 4); err == nil {
+		t.Fatal("an invalid configuration must be rejected")
 	}
 }

@@ -197,7 +197,7 @@ func NewMachine(cfg arch.Config) (*Machine, error) {
 
 // Reset restores the machine to its freshly built state — the insecure
 // baseline's all-shared view NewMachine constructs — without reallocating
-// any of its ~10 MB of cache, TLB, routing, and traffic state. Caches and
+// any of its ~7.7 MB of cache, TLB, routing, and traffic state. Caches and
 // TLBs invalidate by generation bump (O(1) each), the route caches by the
 // shared route generation, and the page table truncates in place. The
 // driver's machine arena calls this between probes; the reset-purity test

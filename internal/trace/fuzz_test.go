@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"ironhide/internal/arch"
@@ -158,10 +159,64 @@ func FuzzDecodeArbitrary(f *testing.F) {
 		if len(d.ops) != len(d.args) {
 			t.Fatalf("decoded %d ops but %d args", len(d.ops), len(d.args))
 		}
-		// Accepted streams must round-trip through the replayer's cached
-		// decode path without panicking.
+		// Accepted streams must lower and plan without panicking.
 		p := &Proc{Rounds: [][]byte{b}}
-		_ = p.round(0)
+		_ = p.Lower(3)
+	})
+}
+
+// lowerRound splits a decoded round into chargeable ops and the marker
+// skeleton: the reference FuzzLowerRound holds lowerStream to.
+func lowerRound(d *decodedRound) loweredRound {
+	n := 0
+	for _, code := range d.ops {
+		if code <= opAtomic {
+			n++
+		}
+	}
+	lr := loweredRound{
+		codes: make([]byte, 0, n),
+		args:  make([]int64, 0, n),
+		segs:  make([]segment, 0, len(d.ops)-n),
+	}
+	for j, code := range d.ops {
+		if code <= opAtomic {
+			lr.codes = append(lr.codes, code)
+			lr.args = append(lr.args, d.args[j])
+			continue
+		}
+		lr.segs = append(lr.segs, segment{code: code, pos: int32(len(lr.codes))})
+	}
+	return lr
+}
+
+// FuzzLowerRound holds the direct lowering to the decode-then-lower
+// reference: for every stream decodeStream accepts, lowerStream produces
+// the identical op arrays and marker skeleton; it rejects exactly the
+// streams decodeStream rejects, and never panics.
+func FuzzLowerRound(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{opCompute})                                                                           // truncated operand
+	f.Add([]byte{opRead, 0x80})                                                                        // unterminated varint
+	f.Add([]byte{42})                                                                                  // unknown opcode
+	f.Add([]byte{opBarrier, opParFor, opChunk, opSeq})                                                 // bare markers
+	f.Add([]byte{opParFor, opChunk, opRead, 0x10, opCompute, 5, opChunk, opWrite, 0x7f, opBarrier})    // two chunks
+	f.Add(append([]byte{opCompute}, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) // overlong uvarint
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := lowerStream(b)
+		d, derr := decodeStream(b)
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("lowerStream error %v, decodeStream error %v", err, derr)
+		}
+		if err != nil {
+			if err.Error() != derr.Error() {
+				t.Fatalf("lowerStream error %q, decodeStream error %q", err, derr)
+			}
+			return
+		}
+		if want := lowerRound(&d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("direct lowering %+v, want %+v", got, want)
+		}
 	})
 }
 

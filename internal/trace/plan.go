@@ -1,5 +1,7 @@
 package trace
 
+import "fmt"
+
 // Pre-lowered replay plans.
 //
 // Replaying a round through the generic interpreter costs a dispatch, a
@@ -7,8 +9,8 @@ package trace
 // removes all of it in two stages:
 //
 //  1. Gang-size independent (loweredRound, built once per Proc): the
-//     decoded round splits into SoA arrays holding only the chargeable ops
-//     (compute/read/write/atomic) and a positional skeleton of the
+//     round's stream decodes into SoA arrays holding only the chargeable
+//     ops (compute/read/write/atomic) and a positional skeleton of the
 //     structural markers. Compute coalescing is inherited from the
 //     recorder, which merges consecutive Compute charges at capture time.
 //  2. Per gang size (gangPlan, cached on the Proc): the skeleton resolves
@@ -48,38 +50,46 @@ type gangPlan struct {
 	rounds [][]planRun
 }
 
-// lowerAll builds the lowered form of every round (once per Proc).
+// lowerAll builds the lowered form of every round (once per Proc),
+// straight from the varint streams.
 func (p *Proc) lowerAll() {
-	p.decodeOnce.Do(p.decodeAll)
-	p.lowered = make([]loweredRound, len(p.decoded))
-	for r := range p.decoded {
-		p.lowered[r] = lowerRound(&p.decoded[r])
+	p.lowered = make([]loweredRound, len(p.Rounds))
+	for r, stream := range p.Rounds {
+		lr, err := lowerStream(stream)
+		if err != nil {
+			// A recorder-produced stream can never be corrupt; replaying a
+			// hand-mangled one is a programming error, not an input error.
+			panic(fmt.Sprintf("trace: %s round %d: %v", p.Name, r, err))
+		}
+		p.lowered[r] = lr
 	}
 }
 
-// lowerRound splits one decoded round into chargeable ops and the marker
-// skeleton.
-func lowerRound(d *decodedRound) loweredRound {
-	n := 0
-	for _, code := range d.ops {
-		if code <= opAtomic {
-			n++
-		}
-	}
+// lowerStream decodes one round's stream directly into chargeable ops and
+// the marker skeleton, with no per-op intermediate form. It reports
+// corruption exactly as decodeStream does.
+func lowerStream(stream []byte) (loweredRound, error) {
+	n, markers := countOps(stream)
 	lr := loweredRound{
-		codes: make([]byte, 0, n),
-		args:  make([]int64, 0, n),
-		segs:  make([]segment, 0, len(d.ops)-n),
+		codes: make([]byte, 0, n-markers),
+		args:  make([]int64, 0, n-markers),
+		segs:  make([]segment, 0, markers),
 	}
-	for j, code := range d.ops {
+	var prev, arg int64
+	var code byte
+	var err error
+	for i := 0; i < len(stream); {
+		if code, arg, prev, i, err = readOp(stream, i, prev); err != nil {
+			return loweredRound{}, err
+		}
 		if code <= opAtomic {
 			lr.codes = append(lr.codes, code)
-			lr.args = append(lr.args, d.args[j])
+			lr.args = append(lr.args, arg)
 			continue
 		}
 		lr.segs = append(lr.segs, segment{code: code, pos: int32(len(lr.codes))})
 	}
-	return lr
+	return lr, nil
 }
 
 // plan returns the run table for gang size t, building and caching it on

@@ -84,16 +84,11 @@ type Proc struct {
 	Allocs  []Alloc
 	Rounds  [][]byte
 
-	// decoded is the flat per-op form of Rounds, built once on first use:
-	// parallel opcode/argument arrays with absolute addresses, markers
-	// included. The reference (per-op) replayer and re-capture run from
-	// it; the lowering pass consumes it.
-	decodeOnce sync.Once
-	decoded    []decodedRound
-
-	// lowered strips the markers out of decoded into SoA op arrays plus a
-	// positional marker skeleton — the gang-size-independent part of the
-	// replay plan, shared by every gang's run table.
+	// lowered is the replay form of Rounds, built once on first use
+	// straight from the varint streams: SoA op arrays plus a positional
+	// marker skeleton — the gang-size-independent part of the replay
+	// plan, shared by every gang's run table. It is the only expanded form
+	// a Proc keeps; the per-op reference replayer decodes on demand.
 	lowerOnce sync.Once
 	lowered   []loweredRound
 
@@ -113,31 +108,11 @@ type decodedRound struct {
 	args []int64
 }
 
-// round returns the decoded form of one round, building the cache on
-// first use (safe for concurrent replays).
-func (p *Proc) round(r int) *decodedRound {
-	p.decodeOnce.Do(p.decodeAll)
-	return &p.decoded[r]
-}
-
-func (p *Proc) decodeAll() {
-	p.decoded = make([]decodedRound, len(p.Rounds))
-	for r, stream := range p.Rounds {
-		d, err := decodeStream(stream)
-		if err != nil {
-			// A recorder-produced stream can never be corrupt; replaying a
-			// hand-mangled one is a programming error, not an input error.
-			panic(fmt.Sprintf("trace: %s round %d: %v", p.Name, r, err))
-		}
-		p.decoded[r] = d
-	}
-}
-
-// countOps sizes a stream's decoded arrays exactly: one op per non-operand
-// byte. The scan only skips varint continuation bytes; validation is the
-// second pass's job, and malformed inputs just produce a harmless bound.
-func countOps(stream []byte) int {
-	n := 0
+// countOps sizes a stream's expanded arrays exactly: one op per
+// non-operand byte, markers counted separately. The scan only skips varint
+// continuation bytes; validation is readOp's job, and malformed inputs
+// just produce a harmless bound.
+func countOps(stream []byte) (ops, markers int) {
 	for i := 0; i < len(stream); {
 		code := stream[i]
 		i++
@@ -147,45 +122,55 @@ func countOps(stream []byte) int {
 				i++
 			}
 			i++
+		case opBarrier, opParFor, opChunk, opSeq:
+			markers++
 		}
-		n++
+		ops++
 	}
-	return n
+	return ops, markers
 }
 
-// decodeStream decodes one round's operation stream into its flat replay
-// form, reporting corruption (unknown opcodes, truncated or overlong
-// varint operands) as an error. It is total: no input byte sequence makes
-// it panic — the fuzz targets hold it to that.
+// readOp decodes the op starting at stream[i] (i < len(stream)): its
+// opcode, its operand (cycle count for computes, absolute address for
+// memory ops, 0 for markers), the running address the next memory op's
+// delta applies to, and the offset of the next op. Unknown opcodes and
+// truncated or overlong varint operands are errors; no input makes it
+// panic. It is the one decoder of the stream format.
+func readOp(stream []byte, i int, prev int64) (code byte, arg, addr int64, next int, err error) {
+	code = stream[i]
+	i++
+	switch code {
+	case opCompute:
+		u, w := binary.Uvarint(stream[i:])
+		if w <= 0 {
+			return 0, 0, 0, 0, fmt.Errorf("bad operand for opcode %d at offset %d", code, i)
+		}
+		return code, int64(u), prev, i + w, nil
+	case opRead, opWrite, opAtomic:
+		v, w := binary.Varint(stream[i:])
+		if w <= 0 {
+			return 0, 0, 0, 0, fmt.Errorf("bad operand for opcode %d at offset %d", code, i)
+		}
+		return code, prev + v, prev + v, i + w, nil
+	case opBarrier, opParFor, opChunk, opSeq:
+		// markers carry no operand
+		return code, 0, prev, i, nil
+	}
+	return 0, 0, 0, 0, fmt.Errorf("unknown opcode %d at offset %d", code, i-1)
+}
+
+// decodeStream decodes one round's operation stream into its flat per-op
+// form, markers included, reporting corruption as an error. Only the
+// per-op reference replayer reads this form.
 func decodeStream(stream []byte) (decodedRound, error) {
-	n := countOps(stream)
+	n, _ := countOps(stream)
 	d := decodedRound{ops: make([]byte, 0, n), args: make([]int64, 0, n)}
-	var prev int64
-	i := 0
-	for i < len(stream) {
-		code := stream[i]
-		i++
-		var arg int64
-		switch code {
-		case opCompute:
-			u, w := binary.Uvarint(stream[i:])
-			if w <= 0 {
-				return decodedRound{}, fmt.Errorf("bad operand for opcode %d at offset %d", code, i)
-			}
-			i += w
-			arg = int64(u)
-		case opRead, opWrite, opAtomic:
-			v, w := binary.Varint(stream[i:])
-			if w <= 0 {
-				return decodedRound{}, fmt.Errorf("bad operand for opcode %d at offset %d", code, i)
-			}
-			i += w
-			prev += v
-			arg = prev
-		case opBarrier, opParFor, opChunk, opSeq:
-			// markers carry no operand
-		default:
-			return decodedRound{}, fmt.Errorf("unknown opcode %d at offset %d", code, i-1)
+	var prev, arg int64
+	var code byte
+	var err error
+	for i := 0; i < len(stream); {
+		if code, arg, prev, i, err = readOp(stream, i, prev); err != nil {
+			return decodedRound{}, err
 		}
 		d.ops = append(d.ops, code)
 		d.args = append(d.args, arg)
@@ -195,11 +180,17 @@ func decodeStream(stream []byte) (decodedRound, error) {
 
 // ValidateStream checks that b is a well-formed operation stream — the
 // codec-level guard a service can run on untrusted trace bytes before
-// handing them to the replayer (whose internal decoder treats corruption
-// as a panic-worthy invariant violation).
+// handing them to the replayer (whose lowering treats corruption as a
+// panic-worthy invariant violation). It allocates nothing.
 func ValidateStream(b []byte) error {
-	_, err := decodeStream(b)
-	return err
+	var prev int64
+	var err error
+	for i := 0; i < len(b); {
+		if _, _, prev, i, err = readOp(b, i, prev); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Validate checks every round of both processes' operation streams.
@@ -247,9 +238,8 @@ func (t *Trace) Captured() int { return len(t.Ins.Rounds) }
 func (t *Trace) Bytes() int { return t.Ins.Bytes() + t.Sec.Bytes() }
 
 // Clone returns a Trace sharing the encoded streams and metadata but none
-// of the decoded or pre-lowered replay caches — the state a fresh
-// deserialization would present. Benchmarks use it to measure the
-// once-per-trace decode and lowering cost.
+// of the lowered replay caches — the state a fresh deserialization would
+// present. Benchmarks use it to measure the once-per-trace lowering cost.
 func (t *Trace) Clone() *Trace {
 	return &Trace{
 		App:           t.App,
@@ -354,10 +344,15 @@ func (p *replayProc) Round(g *sim.Group, round int) {
 	}
 }
 
-// roundPerOp is the reference replayer: the decoded stream interpreted one
-// op at a time through Ctx dispatch, markers included.
+// roundPerOp is the reference replayer: the stream decoded on demand and
+// interpreted one op at a time through Ctx dispatch, markers included.
 func (p *replayProc) roundPerOp(g *sim.Group, round int) {
-	d := p.proc.round(round)
+	d, err := decodeStream(p.proc.Rounds[round])
+	if err != nil {
+		// A recorder-produced stream can never be corrupt; replaying a
+		// hand-mangled one is a programming error, not an input error.
+		panic(fmt.Sprintf("trace: %s round %d: %v", p.proc.Name, round, err))
+	}
 	cur := g.Ctx(0)
 	t := g.Threads()
 	off := g.AddrOffset()

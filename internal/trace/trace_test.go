@@ -223,7 +223,7 @@ func TestReplayBeyondCapturePanics(t *testing.T) {
 	proc.Round(m.NewGroup(arch.Insecure, testCores(2), 0), 2)
 }
 
-// A warm replay round — decode, lowering, and gang plan already cached,
+// A warm replay round — lowering and gang plan already cached,
 // machine state populated — must be allocation-free: the batch kernel
 // charges pre-lowered runs straight through Machine.Access, and nothing
 // on that path may touch the heap. The synthetic stream covers every
@@ -239,7 +239,7 @@ func TestReplayZeroAllocSteadyState(t *testing.T) {
 	proc := tr.NewApp().Insecure
 	proc.Init(m, m.NewSpace("replay", arch.Insecure))
 	g := m.NewGroup(arch.Insecure, testCores(6), 0)
-	proc.Round(g, 0) // warm: builds the decode, lowering, and plan caches
+	proc.Round(g, 0) // warm: builds the lowering and plan caches
 	if n := testing.AllocsPerRun(10, func() {
 		proc.Round(g, 0)
 	}); n != 0 {
