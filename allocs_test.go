@@ -21,7 +21,6 @@ import (
 	"ironhide/internal/enclave"
 	"ironhide/internal/experiments"
 	"ironhide/internal/noc"
-	"ironhide/internal/runner"
 	"ironhide/internal/scenario"
 	"ironhide/internal/sched"
 	"ironhide/internal/sim"
@@ -133,7 +132,7 @@ var allocOps = []allocOp{
 	}},
 	// One app×model matrix on one runner worker and on all host cores.
 	{"GridSequential", 10039, 4_835_750, func(tb testing.TB) func() { return gridOp(tb, 1) }},
-	{"GridParallel", 10041, 4_835_750, func(tb testing.TB) func() { return gridOp(tb, runner.DefaultWorkers()) }},
+	{"GridParallel", 10041, 4_835_750, func(tb testing.TB) func() { return gridOp(tb, runtime.NumCPU()) }},
 	// One space-shared co-run of two tenants on disjoint sub-gangs.
 	{"CoTenantReplay", 91, 0, func(tb testing.TB) func() {
 		cfg := arch.TileGx72Scaled(12)
@@ -162,7 +161,7 @@ var allocOps = []allocOp{
 	{"JointSearch", 3871, 1_809_677, func(tb testing.TB) func() {
 		cfg := arch.TileGx72Scaled(12)
 		tenants := tenantTraces(tb, cfg, 0.04)
-		workers := runner.DefaultWorkers()
+		workers := runtime.NumCPU()
 		return func() {
 			rep, err := sched.JointSearch(cfg, tenants, sched.Options{Scale: 0.04, Workers: workers, Seed: 42})
 			if err != nil {

@@ -142,20 +142,12 @@ func (c Config) L1Sets() int { return c.L1Size / (c.L1Ways * c.LineSize) }
 func (c Config) L2Sets() int { return c.L2SliceSize / (c.L2Ways * c.LineSize) }
 
 // CyclesToDuration converts a cycle count to wall-clock time at the
-// configured core frequency. The conversion is integer-exact so that
-// round-tripping through DurationToCycles is lossless.
+// configured core frequency. The conversion is integer-exact, so the cycle
+// count is recoverable from the duration.
 func (c Config) CyclesToDuration(cycles int64) time.Duration {
 	secs := cycles / c.ClockHz
 	rem := cycles % c.ClockHz
 	return time.Duration(secs)*time.Second + time.Duration(rem*int64(time.Second)/c.ClockHz)
-}
-
-// DurationToCycles converts wall-clock time to cycles at the configured
-// core frequency.
-func (c Config) DurationToCycles(d time.Duration) int64 {
-	secs := int64(d / time.Second)
-	rem := int64(d % time.Second)
-	return secs*c.ClockHz + rem*c.ClockHz/int64(time.Second)
 }
 
 // Validate reports a descriptive error if the configuration is not

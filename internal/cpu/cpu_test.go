@@ -12,14 +12,14 @@ func TestCoreClock(t *testing.T) {
 	if c.ID() != 3 || c.Cycles() != 0 {
 		t.Fatal("fresh core state wrong")
 	}
-	c.Advance(100)
-	c.Advance(50)
-	if c.Cycles() != 150 {
-		t.Fatalf("cycles = %d", c.Cycles())
+	c.FlushPipeline()
+	c.FlushPipeline()
+	if c.Cycles() != 2*arch.TileGx72().PipelineFlushLat {
+		t.Fatalf("cycles = %d after two flushes", c.Cycles())
 	}
-	c.SetCycles(10)
-	if c.Cycles() != 10 {
-		t.Fatal("SetCycles ignored")
+	c.Reset()
+	if c.Cycles() != 0 || c.Flushes() != 0 {
+		t.Fatal("Reset left the clock or flush count")
 	}
 }
 

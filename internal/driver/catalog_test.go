@@ -127,3 +127,53 @@ func TestOracleReplayAllocatesLessThanLive(t *testing.T) {
 	t.Logf("oracle total alloc: live %.1f MB in %d allocs, replay %.1f MB in %d allocs (%.2fx)",
 		float64(live)/1e6, liveAllocs, float64(replay)/1e6, replayAllocs, float64(live)/float64(replay))
 }
+
+// A binding search and the run it installs must not depend on the seed:
+// Options.Seed only derives attestation keys, so for every catalog app,
+// under both spatial models, SearchTrace's answer and RunTrace's
+// completion are identical across seeds. This is the premise that lets a
+// search answer be memoized per (config, model, trace, search options).
+func TestSearchAndRunIgnoreSeed(t *testing.T) {
+	if raceEnabled {
+		t.Skip("about 50 s under the race detector; the searches are sequential and TestReplayEquivalenceCatalog already runs the replay path concurrently under it")
+	}
+	cfg := arch.TileGx72()
+	const scale = 0.03
+	seeds := []int64{1, 7, 1 << 40}
+	models := []func() enclave.Model{
+		func() enclave.Model { return core.New(32) },
+		func() enclave.Model { return enclave.Insecure{} },
+	}
+	for _, entry := range apps.Catalog() {
+		t.Run(entry.Alias, func(t *testing.T) {
+			t.Parallel()
+			tr, err := driver.CaptureTrace(cfg, entry.Factory, driver.Options{Scale: scale})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, model := range models {
+				var wantSR driver.SearchResult
+				var wantCycles int64
+				for i, seed := range seeds {
+					opts := driver.Options{Scale: scale, Seed: seed}
+					sr, err := driver.SearchTrace(cfg, model(), tr, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := driver.RunTrace(cfg, model(), tr, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						wantSR, wantCycles = sr, res.CompletionCycles
+						continue
+					}
+					if sr != wantSR || res.CompletionCycles != wantCycles {
+						t.Fatalf("%s seed %d: search %+v, %d cycles; seed %d gave %+v, %d cycles",
+							model().Name(), seed, sr, res.CompletionCycles, seeds[0], wantSR, wantCycles)
+					}
+				}
+			}
+		})
+	}
+}

@@ -405,9 +405,6 @@ func BuildFig8(cfg arch.Config, ec Config) (*Fig8Report, error) {
 		run := func(model enclave.Model, o driver.Options) (*driver.Result, error) {
 			return driver.RunTrace(cfg, model, tr, o)
 		}
-		eval := func(k int) (float64, error) {
-			return driver.ProfileTrace(cfg, core.New(32), tr, opts(), k)
-		}
 
 		// MI6 baseline.
 		mi6, err := run(enclave.MulticoreMI6{}, opts())
@@ -424,13 +421,15 @@ func BuildFig8(cfg arch.Config, ec Config) (*Fig8Report, error) {
 		out.heuristic = float64(h.CompletionCycles)
 
 		// One exhaustive search shared by Optimal and the variations.
-		opt, err := heuristic.OptimalParallel(1, cfg.Cores()-1, ec.stride(), ec.searchWorkers(), eval)
+		sOpts := opts()
+		sOpts.Optimal, sOpts.OptimalStride = true, ec.stride()
+		opt, err := driver.SearchTrace(cfg, core.New(32), tr, sOpts)
 		if err != nil {
 			return out, err
 		}
 		oOpts := opts()
 		oOpts.FixedSecureCores = opt.SecureCores
-		oOpts.WaiveReconfig = true
+		oOpts.WaiveReconfig = opt.WaiveReconfig
 		o, err := run(core.New(32), oOpts)
 		if err != nil {
 			return out, err

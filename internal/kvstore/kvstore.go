@@ -72,18 +72,6 @@ func (s *Store) Set(key uint32, value []byte) {
 	}
 }
 
-// Delete removes key if present.
-func (s *Store) Delete(key uint32) bool {
-	el, ok := s.items[key]
-	if !ok {
-		return false
-	}
-	s.used -= len(el.Value.(*item).value)
-	delete(s.items, key)
-	s.lru.Remove(el)
-	return true
-}
-
 // Len returns the number of resident items.
 func (s *Store) Len() int { return s.lru.Len() }
 

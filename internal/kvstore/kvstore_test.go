@@ -9,6 +9,8 @@ import (
 	"ironhide/internal/sim"
 )
 
+// Set, Get and overwrite-in-place. Entries leave the store only by LRU
+// eviction; it has no Delete.
 func TestStoreSetGetDelete(t *testing.T) {
 	s := NewStore(1 << 20)
 	if _, ok := s.Get(1); ok {
@@ -23,11 +25,8 @@ func TestStoreSetGetDelete(t *testing.T) {
 	if v, _ := s.Get(1); string(v) != "world!" {
 		t.Fatal("overwrite lost")
 	}
-	if !s.Delete(1) || s.Delete(1) {
-		t.Fatal("delete semantics wrong")
-	}
-	if s.Len() != 0 || s.Used() != 0 {
-		t.Fatalf("store not empty after delete: len=%d used=%d", s.Len(), s.Used())
+	if s.Len() != 1 || s.Used() != len("world!") {
+		t.Fatalf("overwrite must replace in place: len=%d used=%d", s.Len(), s.Used())
 	}
 }
 

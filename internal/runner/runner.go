@@ -11,7 +11,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"ironhide/internal/arch"
@@ -54,8 +53,8 @@ type Runner struct {
 	// Cfg is the machine configuration shared by all jobs.
 	Cfg arch.Config
 	// Workers bounds concurrency; <= 1 runs sequentially on the calling
-	// goroutine, 0 is treated as 1. Use runtime.NumCPU() (or the
-	// DefaultWorkers helper) to saturate the host.
+	// goroutine, 0 is treated as 1. Use runtime.NumCPU() to saturate
+	// the host.
 	Workers int
 	// BaseSeed anchors the deterministic per-job seeds (default 1).
 	BaseSeed int64
@@ -65,9 +64,6 @@ type Runner struct {
 	// of burning the pool on results nobody will read).
 	Ctx context.Context
 }
-
-// DefaultWorkers returns the worker count that saturates the host.
-func DefaultWorkers() int { return runtime.NumCPU() }
 
 // seedFor derives the job seed from the base seed and the job index.
 func (r *Runner) seedFor(index int) int64 {

@@ -514,8 +514,11 @@ func endpoint[R any](s *Server, inflight *atomic.Int64, prepare func(req *R) (pl
 func (s *Server) respond(ctx context.Context, w http.ResponseWriter, work func(context.Context) outcome) {
 	ch := make(chan outcome, 1)
 	go func() {
-		defer s.gate.release()
-		ch <- work(ctx)
+		// The slot is returned before the handler can write the outcome, so
+		// a client that has its answer never finds its own slot still held.
+		o := work(ctx)
+		s.gate.release()
+		ch <- o
 	}()
 	select {
 	case o := <-ch:

@@ -101,8 +101,8 @@ func (f *streamFramer) write(chunk ScenarioStreamEvent) error {
 
 // streamScenario answers a /v1/scenario request with stream:true. The
 // caller must have validated the request and hold an admission slot; the
-// slot is released when the engine settles, exactly like the blocking
-// path.
+// slot is released when the engine settles and before the terminal chunk
+// is written, exactly like the blocking path.
 func (s *Server) streamScenario(ctx context.Context, w http.ResponseWriter, r *http.Request, spec scenario.Spec) {
 	type runResult struct {
 		rep *scenario.Report
@@ -116,7 +116,6 @@ func (s *Server) streamScenario(ctx context.Context, w http.ResponseWriter, r *h
 	events := make(chan scenario.StreamEvent, 64)
 	res := make(chan runResult, 1)
 	go func() {
-		defer s.gate.release()
 		traceFor, worst := s.sharedTraces(ctx)
 		rep, err := scenario.Run(s.cfg.Arch, spec, scenario.Options{
 			Workers:  s.cfg.GridWorkers,
@@ -129,7 +128,11 @@ func (s *Server) streamScenario(ctx context.Context, w http.ResponseWriter, r *h
 			},
 		})
 		close(events)
-		res <- runResult{rep: rep, src: worst(), err: err}
+		out := runResult{rep: rep, src: worst(), err: err}
+		// Return the slot before the handler writes the terminal chunk,
+		// as respond does for the blocking path.
+		s.gate.release()
+		res <- out
 	}()
 
 	fr := &streamFramer{w: w, sse: wantsSSE(r)}

@@ -104,7 +104,7 @@ func TestScenarioStreamMatchesBlocking(t *testing.T) {
 // object per line, the last being the terminal report chunk, under the
 // NDJSON content type.
 func TestScenarioStreamNDJSONFraming(t *testing.T) {
-	_, ts := testServer(t, Config{})
+	s, ts := testServer(t, Config{})
 	req := streamSpec()
 	req.Stream = true
 	b, _ := json.Marshal(req)
@@ -140,6 +140,11 @@ func TestScenarioStreamNDJSONFraming(t *testing.T) {
 		if terminal != (chunk.Type == StreamChunkReport) {
 			t.Fatalf("line %d: type %q (terminal=%v)", i, chunk.Type, terminal)
 		}
+	}
+	// The slot is returned before the terminal chunk is written, so a
+	// client that has read the whole stream never sees it held.
+	if st := s.gate.stats(); st.InUse != 0 {
+		t.Fatalf("gate stats %+v after the terminal chunk: want all slots returned", st)
 	}
 }
 

@@ -365,16 +365,6 @@ func (g *Group) ReplayRun(tid int, codes []byte, args []int64) {
 	c.Writes += writes
 }
 
-// AdvanceTo moves every thread clock forward to at least t (a gang
-// blocked on an external event, e.g. waiting for the IPC reply).
-func (g *Group) AdvanceTo(t int64) {
-	for _, c := range g.ctxs {
-		if c.cycles < t {
-			c.cycles = t
-		}
-	}
-}
-
 // String summarizes the gang.
 func (g *Group) String() string {
 	return fmt.Sprintf("group(%v, %d threads, start %d)", g.Domain, len(g.ctxs), g.start)

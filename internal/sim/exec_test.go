@@ -133,16 +133,6 @@ func TestSeqRunsOnThreadZero(t *testing.T) {
 	}
 }
 
-func TestAdvanceTo(t *testing.T) {
-	m := newTestMachine(t)
-	g := m.NewGroup(arch.Insecure, cores(0, 1), 0)
-	g.Ctx(0).Compute(300)
-	g.AdvanceTo(200)
-	if g.Ctx(0).Cycles() != 300 || g.Ctx(1).Cycles() != 200 {
-		t.Fatal("AdvanceTo must only move clocks forward")
-	}
-}
-
 func TestAtomicContention(t *testing.T) {
 	m := newTestMachine(t)
 	pinToSlice0(m)
@@ -243,29 +233,6 @@ func TestSeqChargesOnlyThreadZero(t *testing.T) {
 		for tid := 0; tid < gang; tid++ {
 			if got := g.Ctx(tid).Cycles(); got != want {
 				t.Fatalf("gang %d thread %d: %d cycles after Seq, want %d", gang, tid, got, want)
-			}
-		}
-	}
-}
-
-// AdvanceTo is monotone: it never rewinds any clock, and repeated or
-// stale targets are no-ops.
-func TestAdvanceToMonotone(t *testing.T) {
-	m := newTestMachine(t)
-	g := m.NewGroup(arch.Insecure, cores(0, 1, 2), 0)
-	g.Ctx(0).Compute(500)
-	g.Ctx(1).Compute(100)
-	for _, target := range []int64{300, 300, 200, 0} {
-		before := []int64{g.Ctx(0).Cycles(), g.Ctx(1).Cycles(), g.Ctx(2).Cycles()}
-		g.AdvanceTo(target)
-		for tid, b := range before {
-			got := g.Ctx(tid).Cycles()
-			want := b
-			if target > want {
-				want = target
-			}
-			if got != want {
-				t.Fatalf("thread %d at %d after AdvanceTo(%d), want %d", tid, got, target, want)
 			}
 		}
 	}

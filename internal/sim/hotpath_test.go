@@ -1,32 +1,33 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"ironhide/internal/arch"
 	"ironhide/internal/cache"
+	"ironhide/internal/mem"
 	"ironhide/internal/noc"
 )
 
 // buildEquivMachine configures one machine for the equivalence runs: a
 // partitioned memory system, local homing over each cluster's own slices,
 // and the given contiguous split with routing isolation on.
-func buildEquivMachine(t *testing.T, secure int, materialized bool) (*Machine, Buffer, Buffer) {
+func buildEquivMachine(t *testing.T, secure int) (*Machine, Buffer, Buffer) {
 	t.Helper()
 	m, err := NewMachine(arch.TileGx72())
 	if err != nil {
 		t.Fatal(err)
 	}
-	secBuf, insBuf := configEquivMachine(t, m, secure, materialized)
+	secBuf, insBuf := configEquivMachine(t, m, secure)
 	return m, secBuf, insBuf
 }
 
 // configEquivMachine applies the equivalence configuration to an existing
 // machine — fresh or recycled; the reset-purity test relies on the same
 // steps driving both to identical behavior.
-func configEquivMachine(t *testing.T, m *Machine, secure int, materialized bool) (Buffer, Buffer) {
+func configEquivMachine(t *testing.T, m *Machine, secure int) (Buffer, Buffer) {
 	t.Helper()
-	m.materializedRouting = materialized
 	if err := m.Part.AssignDomains(0b0011); err != nil {
 		t.Fatal(err)
 	}
@@ -92,57 +93,144 @@ func driveEquiv(m *Machine, secBuf, insBuf Buffer) []int64 {
 	return lats
 }
 
-// The analytic access path must be byte-identical to the materialized
-// reference — per-access latencies, every per-link traffic counter, total
-// traffic, cross-cluster drift, and route-violation counts — across every
-// contiguous split of the mesh.
+// The analytic routing helpers on the access hot path must match their
+// slice-materializing references call for call — latency, every per-link
+// traffic counter, and the route-violation count — for every (src, dst,
+// accessor, owner) core-to-slice route and every (slice, controller,
+// owner) slice-to-controller route. One pair of twin machines walks a
+// sequence of splits, so every SetSplit must invalidate the analytic route
+// caches (routeGen) that the previous split filled; one split runs without
+// routing isolation.
 func TestAnalyticAccessMatchesMaterialized(t *testing.T) {
 	cfg := arch.TileGx72()
-	for secure := 0; secure <= cfg.Cores(); secure++ {
-		fast, fastSec, fastIns := buildEquivMachine(t, secure, false)
-		ref, refSec, refIns := buildEquivMachine(t, secure, true)
-
-		fastLats := driveEquiv(fast, fastSec, fastIns)
-		refLats := driveEquiv(ref, refSec, refIns)
-
-		if len(fastLats) != len(refLats) {
-			t.Fatalf("secure=%d: stream lengths differ", secure)
+	fast, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := []arch.Domain{arch.Secure, arch.Insecure}
+	steps := []struct {
+		secure  int
+		isolate bool
+	}{{0, true}, {1, true}, {7, true}, {8, true}, {12, true}, {32, true}, {12, false}, {45, true}, {63, true}, {64, true}, {20, true}}
+	for _, st := range steps {
+		split, err := noc.NewSplit(st.secure, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range fastLats {
-			if fastLats[i] != refLats[i] {
-				t.Fatalf("secure=%d access %d: analytic latency %d != materialized %d",
-					secure, i, fastLats[i], refLats[i])
+		fast.SetSplit(split, st.isolate)
+		ref.SetSplit(split, st.isolate)
+		for s := 0; s < cfg.Cores(); s++ {
+			src := cfg.CoordOf(arch.CoreID(s))
+			for d := 0; d < cfg.Cores(); d++ {
+				dst := cfg.CoordOf(arch.CoreID(d))
+				for _, acc := range domains {
+					for _, own := range domains {
+						got := fast.routeLat(src, dst, acc, own, 0)
+						want := ref.routeLatMaterialized(src, dst, acc, own)
+						if got != want || fast.RouteViolations() != ref.RouteViolations() {
+							t.Fatalf("split %d isolate %v route %v->%v (%v on %v page): latency %d, %d violations; reference %d, %d",
+								st.secure, st.isolate, src, dst, acc, own, got, fast.RouteViolations(), want, ref.RouteViolations())
+						}
+					}
+				}
 			}
+			requireSameLinkTraffic(t, fast, ref, fmt.Sprintf("split %d isolate %v after routes from %v", st.secure, st.isolate, src))
 		}
-		if got, want := fast.RouteViolations(), ref.RouteViolations(); got != want {
-			t.Fatalf("secure=%d: route violations %d != %d", secure, got, want)
-		}
-		if got, want := fast.Mesh.TotalTraffic(), ref.Mesh.TotalTraffic(); got != want {
-			t.Fatalf("secure=%d: total traffic %d != %d", secure, got, want)
-		}
-		for c := 0; c < cfg.Cores(); c++ {
-			from := cfg.CoordOf(arch.CoreID(c))
-			for _, d := range []arch.Coord{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}} {
-				to := arch.Coord{X: from.X + d.X, Y: from.Y + d.Y}
-				if got, want := fast.Mesh.LinkTraffic(from, to), ref.Mesh.LinkTraffic(from, to); got != want {
-					t.Fatalf("secure=%d link %v->%v: traffic %d != %d", secure, from, to, got, want)
+		for s := 0; s < cfg.Cores(); s++ {
+			from := cfg.CoordOf(arch.CoreID(s))
+			for mc := 0; mc < cfg.MemControllers; mc++ {
+				for _, own := range domains {
+					got := fast.edgeRouteLat(from, mem.ControllerID(mc), own, 0)
+					want := ref.edgeRouteLatMaterialized(from, mem.ControllerID(mc), own)
+					if got != want || fast.RouteViolations() != ref.RouteViolations() {
+						t.Fatalf("split %d isolate %v slice %v -> MC %d (%v page): latency %d, %d violations; reference %d, %d",
+							st.secure, st.isolate, from, mc, own, got, fast.RouteViolations(), want, ref.RouteViolations())
+					}
 				}
 			}
 		}
-		split := fast.Split()
-		for _, cl := range []noc.Cluster{noc.SecureCluster, noc.InsecureCluster} {
-			member := split.Member(cl)
-			if got, want := fast.Mesh.TrafficThrough(member), ref.Mesh.TrafficThrough(member); got != want {
-				t.Fatalf("secure=%d cluster %v: drift %d != %d", secure, cl, got, want)
+		requireSameLinkTraffic(t, fast, ref, fmt.Sprintf("split %d isolate %v after edge routes", st.secure, st.isolate))
+	}
+	if fast.RouteViolations() == 0 {
+		t.Fatal("no split produced a route violation; the violation accounting went unchecked")
+	}
+}
+
+// requireSameLinkTraffic fails unless both meshes carry identical traffic
+// on every directed link.
+func requireSameLinkTraffic(t *testing.T, fast, ref *Machine, at string) {
+	t.Helper()
+	cfg := fast.Cfg
+	for c := 0; c < cfg.Cores(); c++ {
+		from := cfg.CoordOf(arch.CoreID(c))
+		for _, d := range []arch.Coord{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}} {
+			to := arch.Coord{X: from.X + d.X, Y: from.Y + d.Y}
+			if got, want := fast.Mesh.LinkTraffic(from, to), ref.Mesh.LinkTraffic(from, to); got != want {
+				t.Fatalf("%s: link %v->%v traffic %d, reference %d", at, from, to, got, want)
 			}
 		}
 	}
+	if got, want := fast.Mesh.TotalTraffic(), ref.Mesh.TotalTraffic(); got != want {
+		t.Fatalf("%s: total traffic %d, reference %d", at, got, want)
+	}
+}
+
+// routeLatMaterialized is the slice-materializing reference for routeLat,
+// the oracle TestAnalyticAccessMatchesMaterialized holds it to.
+func (m *Machine) routeLatMaterialized(src, dst arch.Coord, accessor, owner arch.Domain) int64 {
+	var path []arch.Coord
+	if m.routingIsolated && accessor == owner {
+		cl := m.split.ClusterOf(m.Cfg.CoreAt(src))
+		p, _, err := noc.Route(src, dst, m.split.Member(cl))
+		if err != nil {
+			m.routeViolations++
+			p = noc.Path(src, dst, noc.XY)
+		}
+		path = p
+	} else {
+		path = noc.Path(src, dst, noc.XY)
+	}
+	m.Mesh.Record(path)
+	return m.Mesh.Latency(path)
+}
+
+// edgeRouteLatMaterialized is the slice-materializing reference for
+// edgeRouteLat, the oracle TestAnalyticAccessMatchesMaterialized holds it
+// to.
+func (m *Machine) edgeRouteLatMaterialized(from arch.Coord, mcID mem.ControllerID, owner arch.Domain) int64 {
+	attach := m.mcAttach[mcID]
+	proxy := attach
+	if m.routingIsolated {
+		proxy = m.edgeProxy(owner, attach)
+	}
+	var path []arch.Coord
+	if m.routingIsolated {
+		cl := noc.InsecureCluster
+		if owner == arch.Secure {
+			cl = noc.SecureCluster
+		}
+		p, _, err := noc.Route(from, proxy, m.split.Member(cl))
+		if err != nil {
+			m.routeViolations++
+			p = noc.Path(from, proxy, noc.XY)
+		}
+		path = p
+	} else {
+		path = noc.Path(from, proxy, noc.XY)
+	}
+	m.Mesh.Record(path)
+	edgeHops := int64(noc.Dist(attach, proxy) + 1)
+	return m.Mesh.Latency(path) + edgeHops*m.Cfg.HopLat
 }
 
 // The route-decision cache must not survive a SetSplit: decisions that
 // were valid under the old split would drift traffic under the new one.
 func TestRouteCacheInvalidatedOnSetSplit(t *testing.T) {
-	m, secBuf, insBuf := buildEquivMachine(t, 12, false)
+	m, secBuf, insBuf := buildEquivMachine(t, 12)
 	driveEquiv(m, secBuf, insBuf) // populate the caches under split 12
 	split, err := noc.NewSplit(20, m.Cfg)
 	if err != nil {
@@ -169,7 +257,7 @@ func TestRouteCacheInvalidatedOnSetSplit(t *testing.T) {
 // L1-miss/L2-hit round trip, and one full L2-miss walk to DRAM all run
 // allocation-free, with routing isolation active.
 func TestAccessZeroAlloc(t *testing.T) {
-	m, secBuf, _ := buildEquivMachine(t, 32, false)
+	m, secBuf, _ := buildEquivMachine(t, 32)
 	core := arch.CoreID(0)
 
 	// L1 hit: warm one line, then re-touch it.

@@ -102,12 +102,6 @@ type Machine struct {
 	// page layout.
 	allocHook func(d arch.Domain, name string, size int)
 
-	// materializedRouting forces the slice-materializing reference
-	// implementation of the routing helpers; the equivalence tests run a
-	// reference machine with it to prove the analytic hot path is
-	// byte-identical.
-	materializedRouting bool
-
 	// liteExec short-circuits every Ctx charge to a flat L1-hit latency,
 	// skipping the machine walk entirely. Trace capture uses it: the
 	// recorded op stream is timing-independent (kernels cannot observe
@@ -231,7 +225,6 @@ func (m *Machine) Reset() {
 	clear(m.tenantOf)
 	m.tenantConflicts = m.tenantConflicts[:0]
 	m.allocHook = nil
-	m.materializedRouting = false
 	m.liteExec = false
 	m.routeViolations = 0
 	m.blockedAccesses = 0
@@ -296,9 +289,6 @@ func (m *Machine) SetAllocHook(fn func(d arch.Domain, name string, size int)) { 
 
 // SetHomePolicy installs the homing policy a domain allocates pages with.
 func (m *Machine) SetHomePolicy(d arch.Domain, p cache.HomePolicy) { m.policy[d] = p }
-
-// HomePolicy returns the domain's homing policy.
-func (m *Machine) HomePolicy(d arch.Domain) cache.HomePolicy { return m.policy[d] }
 
 // SetSlices restricts a domain's pages to the given home slices.
 func (m *Machine) SetSlices(d arch.Domain, s []cache.SliceID) { m.slices[d] = s }
@@ -440,11 +430,6 @@ func (m *Machine) Access(core arch.CoreID, addr arch.Addr, write bool, d arch.Do
 // (tid != 0) additionally pays the link-contention penalty for every link
 // it takes over from a different co-resident tenant.
 func (m *Machine) routeLat(src, dst arch.Coord, accessor, owner arch.Domain, tid int8) int64 {
-	if m.materializedRouting {
-		// The materialized reference predates co-tenancy; owner tracking is
-		// analytic-only and the equivalence tests never enable tenants.
-		return m.routeLatMaterialized(src, dst, accessor, owner)
-	}
 	order := noc.XY
 	if m.routingIsolated && accessor == owner {
 		idx := int(m.Cfg.CoreAt(src))*m.Cfg.Cores() + int(m.Cfg.CoreAt(dst))
@@ -471,34 +456,12 @@ func (m *Machine) routeLat(src, dst arch.Coord, accessor, owner arch.Domain, tid
 	return m.Mesh.LatencyBetween(src, dst)
 }
 
-// routeLatMaterialized is the slice-materializing reference for routeLat,
-// kept verbatim for the analytic-equivalence tests.
-func (m *Machine) routeLatMaterialized(src, dst arch.Coord, accessor, owner arch.Domain) int64 {
-	var path []arch.Coord
-	if m.routingIsolated && accessor == owner {
-		cl := m.split.ClusterOf(m.Cfg.CoreAt(src))
-		p, _, err := noc.Route(src, dst, m.split.Member(cl))
-		if err != nil {
-			m.routeViolations++
-			p = noc.Path(src, dst, noc.XY)
-		}
-		path = p
-	} else {
-		path = noc.Path(src, dst, noc.XY)
-	}
-	m.Mesh.Record(path)
-	return m.Mesh.Latency(path)
-}
-
 // edgeRouteLat computes one-way latency from an L2 slice to a memory
 // controller. The on-mesh segment runs to the cluster's own edge row (so
 // it never crosses the cluster boundary); the remainder travels on the
 // controller's dedicated edge channel. The proxy point, ordering, and
 // edge-channel cycles come from the per-domain edge cache.
 func (m *Machine) edgeRouteLat(from arch.Coord, mcID mem.ControllerID, owner arch.Domain, tid int8) int64 {
-	if m.materializedRouting {
-		return m.edgeRouteLatMaterialized(from, mcID, owner)
-	}
 	idx := int(m.Cfg.CoreAt(from))*len(m.mcs) + int(mcID)
 	e := &m.edgeCache[owner][idx]
 	if e.gen != m.routeGen {
@@ -544,34 +507,6 @@ func (m *Machine) decideEdgeRoute(from arch.Coord, mcID mem.ControllerID, owner 
 		edgeLat:  edgeHops * m.Cfg.HopLat,
 		violated: violated,
 	}
-}
-
-// edgeRouteLatMaterialized is the slice-materializing reference for
-// edgeRouteLat, kept verbatim for the analytic-equivalence tests.
-func (m *Machine) edgeRouteLatMaterialized(from arch.Coord, mcID mem.ControllerID, owner arch.Domain) int64 {
-	attach := m.mcAttach[mcID]
-	proxy := attach
-	if m.routingIsolated {
-		proxy = m.edgeProxy(owner, attach)
-	}
-	var path []arch.Coord
-	if m.routingIsolated {
-		cl := noc.InsecureCluster
-		if owner == arch.Secure {
-			cl = noc.SecureCluster
-		}
-		p, _, err := noc.Route(from, proxy, m.split.Member(cl))
-		if err != nil {
-			m.routeViolations++
-			p = noc.Path(from, proxy, noc.XY)
-		}
-		path = p
-	} else {
-		path = noc.Path(from, proxy, noc.XY)
-	}
-	m.Mesh.Record(path)
-	edgeHops := int64(noc.Dist(attach, proxy) + 1)
-	return m.Mesh.Latency(path) + edgeHops*m.Cfg.HopLat
 }
 
 // edgeProxy clamps a controller attach point into the owner cluster's own

@@ -90,7 +90,7 @@ func compareSignatures(t *testing.T, want, got equivSignature) {
 func TestMachineResetPurity(t *testing.T) {
 	for _, dirtySecure := range []int{12, 48} {
 		// Reference: fresh machine configured for a 32-core secure cluster.
-		fresh, fSec, fIns := buildEquivMachine(t, 32, false)
+		fresh, fSec, fIns := buildEquivMachine(t, 32)
 		want := signatureOf(fresh, driveEquiv(fresh, fSec, fIns))
 
 		// Candidate: dirty a machine under another split (pages, caches,
@@ -100,10 +100,10 @@ func TestMachineResetPurity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dSec, dIns := configEquivMachine(t, m, dirtySecure, false)
+		dSec, dIns := configEquivMachine(t, m, dirtySecure)
 		driveEquiv(m, dSec, dIns)
 		m.Reset()
-		rSec, rIns := configEquivMachine(t, m, 32, false)
+		rSec, rIns := configEquivMachine(t, m, 32)
 		got := signatureOf(m, driveEquiv(m, rSec, rIns))
 
 		compareSignatures(t, want, got)
@@ -114,7 +114,7 @@ func TestMachineResetPurity(t *testing.T) {
 // one machine — the exact life of a pooled machine serving a binding
 // search, where every probe reconfigures the split.
 func TestMachineResetPurityAfterReconfigure(t *testing.T) {
-	fresh, fSec, fIns := buildEquivMachine(t, 20, false)
+	fresh, fSec, fIns := buildEquivMachine(t, 20)
 	want := signatureOf(fresh, driveEquiv(fresh, fSec, fIns))
 
 	m, err := NewMachine(arch.TileGx72())
@@ -132,7 +132,7 @@ func TestMachineResetPurityAfterReconfigure(t *testing.T) {
 		}
 		m.SetSplit(split, true)
 		m.Reset()
-		sec, ins := configEquivMachine(t, m, secure, false)
+		sec, ins := configEquivMachine(t, m, secure)
 		sig := signatureOf(m, driveEquiv(m, sec, ins))
 		if secure == 20 {
 			compareSignatures(t, want, sig)

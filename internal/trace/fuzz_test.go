@@ -5,87 +5,72 @@ import (
 	"reflect"
 	"testing"
 
-	"ironhide/internal/arch"
+	"ironhide/internal/sim"
 )
 
 // FuzzTraceRoundTrip drives the codec with arbitrary op sequences derived
-// from the fuzz input: encoding through the recorder's emitters, decoding
-// through the replayer's decoder, and re-encoding must reproduce both the
-// op sequence and the exact bytes.
+// from the fuzz input: encoding through the recorder's capture path (a
+// filled sim.EventBuf batch-encoded by Recorder.encode), decoding through
+// the replayer's decoder, and re-encoding must reproduce both the op
+// sequence and the exact bytes.
 func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{7, 255, 0, 128, 9, 9, 9, 200, 13, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Interpret the input as a script of (selector, operand) pairs.
-		r := &Recorder{}
-		var p Proc
-		r.begin(&p, 0)
+		var events sim.EventBuf
 		var wantOps []byte
 		var wantArgs []int64
 		var pendingCompute int64
 		addr := int64(1 << 20)
-		flushCompute := func() {
+		emit := func(code byte, arg int64) {
+			events.Codes = append(events.Codes, code)
+			events.Args = append(events.Args, arg)
+			if code == opCompute {
+				pendingCompute += arg
+				return
+			}
 			if pendingCompute > 0 {
 				wantOps = append(wantOps, opCompute)
 				wantArgs = append(wantArgs, pendingCompute)
 				pendingCompute = 0
 			}
+			wantOps = append(wantOps, code)
+			wantArgs = append(wantArgs, arg)
 		}
 		for i := 0; i+1 < len(data); i += 2 {
 			sel, operand := data[i]%9, int64(data[i+1])
 			switch sel {
 			case 0:
-				r.RecordCompute(operand)
-				pendingCompute += operand
+				emit(opCompute, operand)
 			case 1:
 				addr += operand - 128 // exercise negative deltas
-				r.RecordRead(addrOf(addr))
-				flushCompute()
-				wantOps = append(wantOps, opRead)
-				wantArgs = append(wantArgs, addr)
+				emit(opRead, addr)
 			case 2:
 				addr += operand * 64
-				r.RecordWrite(addrOf(addr))
-				flushCompute()
-				wantOps = append(wantOps, opWrite)
-				wantArgs = append(wantArgs, addr)
+				emit(opWrite, addr)
 			case 3:
 				addr -= operand
-				r.RecordAtomic(addrOf(addr))
-				flushCompute()
-				wantOps = append(wantOps, opAtomic)
-				wantArgs = append(wantArgs, addr)
+				emit(opAtomic, addr)
 			case 4:
-				r.RecordBarrier()
-				flushCompute()
-				wantOps = append(wantOps, opBarrier)
-				wantArgs = append(wantArgs, 0)
+				emit(opBarrier, 0)
 			case 5:
-				r.RecordParFor()
-				flushCompute()
-				wantOps = append(wantOps, opParFor)
-				wantArgs = append(wantArgs, 0)
+				emit(opParFor, 0)
 			case 6:
-				r.RecordChunk()
-				flushCompute()
-				wantOps = append(wantOps, opChunk)
-				wantArgs = append(wantArgs, 0)
+				emit(opChunk, 0)
 			case 7:
-				r.RecordSeq()
-				flushCompute()
-				wantOps = append(wantOps, opSeq)
-				wantArgs = append(wantArgs, 0)
+				emit(opSeq, 0)
 			case 8:
 				// Large compute values exercise multi-byte uvarints.
-				big := operand << 32
-				r.RecordCompute(big)
-				pendingCompute += big
+				emit(opCompute, operand<<32)
 			}
 		}
-		r.end(0)
-		flushCompute()
-		encoded := p.Rounds[0]
+		if pendingCompute > 0 {
+			wantOps = append(wantOps, opCompute)
+			wantArgs = append(wantArgs, pendingCompute)
+		}
+		encoded := encodeEvents(events)
 
 		if err := ValidateStream(encoded); err != nil {
 			t.Fatalf("recorder emitted an invalid stream: %v", err)
@@ -106,36 +91,22 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Canonical re-encoding: emitting the decoded ops through a fresh
+		// Canonical re-encoding: capturing the decoded ops through a fresh
 		// recorder must reproduce the identical byte stream.
-		r2 := &Recorder{}
-		var p2 Proc
-		r2.begin(&p2, 0)
-		for j, code := range d.ops {
-			switch code {
-			case opCompute:
-				r2.RecordCompute(d.args[j])
-			case opRead:
-				r2.RecordRead(addrOf(d.args[j]))
-			case opWrite:
-				r2.RecordWrite(addrOf(d.args[j]))
-			case opAtomic:
-				r2.RecordAtomic(addrOf(d.args[j]))
-			case opBarrier:
-				r2.RecordBarrier()
-			case opParFor:
-				r2.RecordParFor()
-			case opChunk:
-				r2.RecordChunk()
-			case opSeq:
-				r2.RecordSeq()
-			}
-		}
-		r2.end(0)
-		if !bytes.Equal(p2.Rounds[0], encoded) {
-			t.Fatalf("re-encode diverged:\n% x\nvs\n% x", p2.Rounds[0], encoded)
+		again := encodeEvents(sim.EventBuf{Codes: d.ops, Args: d.args})
+		if !bytes.Equal(again, encoded) {
+			t.Fatalf("re-encode diverged:\n% x\nvs\n% x", again, encoded)
 		}
 	})
+}
+
+// encodeEvents runs one round's captured events through a fresh
+// recorder's batch encoder and returns the round's stream.
+func encodeEvents(events sim.EventBuf) []byte {
+	r := &Recorder{buf: events}
+	var p Proc
+	r.encode(&p, 0)
+	return p.Rounds[0]
 }
 
 // FuzzDecodeArbitrary feeds arbitrary bytes to the decoder: it may reject
@@ -219,8 +190,6 @@ func FuzzLowerRound(f *testing.F) {
 		}
 	})
 }
-
-func addrOf(v int64) arch.Addr { return arch.Addr(v) }
 
 // FuzzTraceUnmarshal feeds arbitrary bytes to the whole-trace codec: it
 // may reject them, but it must never panic, and anything it accepts must

@@ -91,7 +91,7 @@ func (r *Recorder) encode(p *Proc, round int) {
 	for i, code := range r.buf.Codes {
 		switch code {
 		case opCompute:
-			r.RecordCompute(r.buf.Args[i])
+			r.pending += r.buf.Args[i]
 		case opRead, opWrite, opAtomic:
 			r.op(code, arch.Addr(r.buf.Args[i]))
 		default:
@@ -125,30 +125,6 @@ func (r *Recorder) mark(code byte) {
 	r.flush()
 	r.stream = append(r.stream, code)
 }
-
-// RecordCompute accumulates compute cycles for coalesced emission.
-func (r *Recorder) RecordCompute(n int64) { r.pending += n }
-
-// RecordRead emits one load.
-func (r *Recorder) RecordRead(addr arch.Addr) { r.op(opRead, addr) }
-
-// RecordWrite emits one store.
-func (r *Recorder) RecordWrite(addr arch.Addr) { r.op(opWrite, addr) }
-
-// RecordAtomic emits one composite read-modify-write.
-func (r *Recorder) RecordAtomic(addr arch.Addr) { r.op(opAtomic, addr) }
-
-// RecordBarrier emits a barrier marker.
-func (r *Recorder) RecordBarrier() { r.mark(opBarrier) }
-
-// RecordParFor emits a ParFor-start marker.
-func (r *Recorder) RecordParFor() { r.mark(opParFor) }
-
-// RecordChunk emits a chunk-boundary marker.
-func (r *Recorder) RecordChunk() { r.mark(opChunk) }
-
-// RecordSeq emits a Seq-section marker.
-func (r *Recorder) RecordSeq() { r.mark(opSeq) }
 
 // recordProc wraps one side of the application: it forwards Init and
 // Round to the real process while capturing the allocation schedule and
