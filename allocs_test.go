@@ -42,7 +42,7 @@ type allocOp struct {
 }
 
 var allocOps = []allocOp{
-	{"Table1Machine", 824, 9_204_240, func(tb testing.TB) func() {
+	{"Table1Machine", 744, 9_199_805, func(tb testing.TB) func() {
 		cfg := arch.TileGx72()
 		return func() {
 			m := newMachine(tb, cfg)

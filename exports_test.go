@@ -26,7 +26,7 @@ import (
 //
 //	oracle      a reference implementation or probe tests hold other code to
 //	fake        a test double behind a production seam
-//	accessor    a small read of state the production code keeps anyway
+//	accessor    a small read of state that production reads too
 //	client-api  API for callers outside this repository
 const exportsList = "testdata/test_only_exports.txt"
 

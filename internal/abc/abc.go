@@ -67,7 +67,6 @@ type Colony struct {
 	foodsX  [][]float64
 	fitness []float64
 	trials  []int
-	bestX   []float64
 	bestF   float64
 
 	foodBuf  sim.Buffer
@@ -113,7 +112,6 @@ func (c *Colony) Init(m *sim.Machine, space *sim.AddressSpace) {
 			c.foodsX[i][d] = c.rng.Float64()*20 - 10
 		}
 	}
-	c.bestX = make([]float64, c.dim)
 	c.bestF = math.Inf(1)
 	c.foodBuf = space.Alloc("food-sources", 8*c.foods*c.dim)
 	c.fieldBuf = space.Alloc("obstacle-field", 8*64*64)
@@ -131,7 +129,6 @@ func (c *Colony) evaluateAll(g *sim.Group) {
 		c.fitness[i] = f
 		if f < c.bestF {
 			c.bestF = f
-			copy(c.bestX, c.foodsX[i])
 		}
 		if ctx != nil {
 			for d := 0; d < c.dim; d += 8 {
@@ -203,7 +200,6 @@ func (c *Colony) employedPhase(g *sim.Group, round int) {
 			ctx.Write(c.foodBuf.Index(i*c.dim+d, 8))
 			if f < c.bestF {
 				c.bestF = f
-				copy(c.bestX, cand)
 			}
 		} else {
 			c.trials[i]++
@@ -249,7 +245,6 @@ func (c *Colony) onlookerPhase(g *sim.Group, round int) {
 			ctx.Write(c.foodBuf.Index(i*c.dim+d, 8))
 			if f < c.bestF {
 				c.bestF = f
-				copy(c.bestX, cand)
 			}
 		} else {
 			c.trials[i]++
@@ -277,6 +272,3 @@ func (c *Colony) scoutPhase(g *sim.Group) {
 
 // Best returns the best objective value found so far.
 func (c *Colony) Best() float64 { return c.bestF }
-
-// BestVector returns a copy of the best decision vector.
-func (c *Colony) BestVector() []float64 { return append([]float64(nil), c.bestX...) }

@@ -1,6 +1,7 @@
 package abc
 
 import (
+	"math"
 	"testing"
 
 	"ironhide/internal/arch"
@@ -88,8 +89,8 @@ func TestVisionCoupledObjective(t *testing.T) {
 		p.Round(ig, r)
 		c.Round(g, r)
 	}
-	if len(c.BestVector()) != 5 {
-		t.Fatal("best vector shape wrong")
+	if best := c.Best(); math.IsInf(best, 0) || math.IsNaN(best) {
+		t.Fatalf("planner found no finite path cost: %v", best)
 	}
 	if g.MaxCycles() == 0 {
 		t.Fatal("planning charged nothing")

@@ -19,9 +19,6 @@ type Process struct {
 	sboxBuf sim.Buffer
 	rkBuf   sim.Buffer
 	dataBuf sim.Buffer
-
-	blocksDone int64
-	lastDigest byte
 }
 
 // NewProcess builds the AES process draining gen.
@@ -60,7 +57,6 @@ func (p *Process) Round(g *sim.Group, round int) {
 		iv[15] = byte(round)
 		// Real encryption of the query payload.
 		p.cipher.CTR(q.Value, iv)
-		p.lastDigest ^= q.Value[0]
 
 		// Charge the model: staging lines for the payload, S-box and
 		// round-key traffic per block.
@@ -73,12 +69,8 @@ func (p *Process) Round(g *sim.Group, round int) {
 			c.Read(p.rkBuf.Index(b%(rounds+1), 16))
 			c.Compute(14 * 140) // 14 rounds of byte+table work per block
 		}
-		p.blocksDone += int64(blocks)
 	})
 }
-
-// BlocksDone reports how many cipher blocks have been processed.
-func (p *Process) BlocksDone() int64 { return p.blocksDone }
 
 // Cipher exposes the underlying cipher (tests re-derive plaintexts).
 func (p *Process) Cipher() *Cipher { return p.cipher }

@@ -36,8 +36,16 @@ func TestProcessEncryptsBatch(t *testing.T) {
 	sec := m.NewGroup(arch.Secure, []arch.CoreID{0, 1, 2, 3}, 0)
 	gen.Round(ins, 0)
 	p.Round(sec, 0)
-	if p.BlocksDone() != 16*128/16 {
-		t.Fatalf("processed %d blocks, want %d", p.BlocksDone(), 16*128/16)
+	// Each cipher block stages one line (a read and a write) and reads
+	// the S-box and a round key.
+	const blocks = 16 * 128 / BlockSize
+	var reads, writes int64
+	for i := 0; i < sec.Threads(); i++ {
+		reads += sec.Ctx(i).Reads
+		writes += sec.Ctx(i).Writes
+	}
+	if reads != 3*blocks || writes != blocks {
+		t.Fatalf("charged %d reads, %d writes; want %d, %d for %d blocks", reads, writes, 3*blocks, blocks, blocks)
 	}
 	if sec.MaxCycles() == 0 {
 		t.Fatal("encryption charged nothing")

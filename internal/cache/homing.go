@@ -57,7 +57,6 @@ func (HashForHome) HomeFor(page uint64, candidates []SliceID) SliceID {
 type LocalHome struct {
 	next  int
 	homes []int32 // page -> home slice + 1; 0 = unhomed
-	count int
 }
 
 // NewLocalHome returns an empty local-homing policy.
@@ -88,9 +87,6 @@ func (p *LocalHome) set(page uint64, h SliceID) {
 	for uint64(len(p.homes)) <= page {
 		p.homes = append(p.homes, 0)
 	}
-	if p.homes[page] == 0 {
-		p.count++
-	}
 	p.homes[page] = int32(h) + 1
 }
 
@@ -113,9 +109,6 @@ func (p *LocalHome) HomeOf(page uint64) (SliceID, bool) {
 	}
 	return SliceID(p.homes[page] - 1), true
 }
-
-// Pages returns the number of homed pages.
-func (p *LocalHome) Pages() int { return p.count }
 
 // SliceArray is the distributed shared L2: one slice per core. Replication
 // is disabled (as in the MI6 baseline and IRONHIDE): a line lives only in

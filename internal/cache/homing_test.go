@@ -61,8 +61,11 @@ func TestLocalHomeRoundRobinAndPinning(t *testing.T) {
 	if again := p.HomeFor(100, candidates); again != h0 {
 		t.Fatalf("page 100 moved from %d to %d without Rehome", h0, again)
 	}
-	if p.Pages() != 2 {
-		t.Fatalf("Pages() = %d, want 2", p.Pages())
+	if h, ok := p.HomeOf(101); !ok || h != h1 {
+		t.Fatalf("HomeOf(101) = %d, %v; want %d", h, ok, h1)
+	}
+	if _, ok := p.HomeOf(102); ok {
+		t.Fatal("a page never asked for has a home")
 	}
 }
 

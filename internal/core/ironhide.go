@@ -33,8 +33,6 @@ import (
 // construct it with New.
 type IronHide struct {
 	initialSecureCores int
-	reconfigs          int
-	purgesOnCtxSwitch  int64
 }
 
 // New returns an IRONHIDE model whose clusters start at the given secure
@@ -56,11 +54,6 @@ func (ih *IronHide) Temporal() bool { return false }
 // InitialSecureCores returns the configured starting cluster size.
 func (ih *IronHide) InitialSecureCores() int { return ih.initialSecureCores }
 
-// Reconfigurations returns how many dynamic-hardware-isolation events have
-// run; the security argument requires at most one per application
-// invocation.
-func (ih *IronHide) Reconfigurations() int { return ih.reconfigs }
-
 // Configure implements enclave.Model: form the clusters, partition the
 // memory system, arm the hardware check, isolate the network.
 func (ih *IronHide) Configure(m *sim.Machine) error {
@@ -71,12 +64,11 @@ func (ih *IronHide) Configure(m *sim.Machine) error {
 	if err := m.Part.AssignDomains(enclave.SecureControllerMask); err != nil {
 		return err
 	}
-	m.Spec.SetEnabled(true)
+	m.SetSpecCheck(true)
 	m.SetHomePolicy(arch.Insecure, cache.NewLocalHome())
 	m.SetHomePolicy(arch.Secure, cache.NewLocalHome())
 	applySliceSplit(m, split)
 	m.SetSplit(split, true)
-	ih.reconfigs = 0
 	return nil
 }
 
@@ -113,7 +105,6 @@ func (ih *IronHide) ContextSwitchSecure(m *sim.Machine) int64 {
 	cost := m.PurgePrivate(split.Cores(noc.SecureCluster))
 	cost += m.PurgeMCs(m.MCsOf(arch.Secure))
 	cost += m.Cfg.PurgeKernelLat
-	ih.purgesOnCtxSwitch++
 	return cost
 }
 
@@ -162,7 +153,6 @@ func (ih *IronHide) Reconfigure(m *sim.Machine, secureCores int) (ReconfigResult
 		res.Cycles += rr.Cycles
 	}
 	res.Cycles += m.Cfg.PurgeKernelLat // stall/resume orchestration
-	ih.reconfigs++
 	return res, nil
 }
 

@@ -381,11 +381,10 @@ func resetStats(m *sim.Machine) {
 	}
 }
 
-// resetCores clears the cores' private-cache and TLB counters.
+// resetCores clears the cores' private-cache counters.
 func resetCores(m *sim.Machine, cores []arch.CoreID) {
 	for _, c := range cores {
 		m.L1(c).ResetStats()
-		m.TLB(c).ResetStats()
 	}
 }
 

@@ -28,9 +28,6 @@ func TestAuthorityDeterministicAdmission(t *testing.T) {
 	if err := a2.Admit(k, app); err != nil {
 		t.Fatalf("equally seeded authority refused: %v", err)
 	}
-	if k.AdmittedCount() != 1 {
-		t.Fatalf("admitted %d processes, want 1", k.AdmittedCount())
-	}
 
 	stranger, err := NewAuthority(6)
 	if err != nil {

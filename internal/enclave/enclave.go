@@ -67,13 +67,7 @@ func (Insecure) Temporal() bool { return false }
 
 // Configure implements Model: everything shared, hash-for-home everywhere.
 func (Insecure) Configure(m *sim.Machine) error {
-	m.Part.Shared()
-	m.Spec.SetEnabled(false)
-	m.SetHomePolicy(arch.Insecure, cache.HashForHome{})
-	m.SetHomePolicy(arch.Secure, cache.HashForHome{})
-	all := allSlices(m)
-	m.SetSlices(arch.Insecure, all)
-	m.SetSlices(arch.Secure, all)
+	configureShared(m)
 	return nil
 }
 
@@ -101,24 +95,18 @@ func (SGXLike) Temporal() bool { return true }
 
 // Configure implements Model: memory system stays shared.
 func (SGXLike) Configure(m *sim.Machine) error {
-	m.Part.Shared()
-	m.Spec.SetEnabled(false)
-	m.SetHomePolicy(arch.Insecure, cache.HashForHome{})
-	m.SetHomePolicy(arch.Secure, cache.HashForHome{})
-	all := allSlices(m)
-	m.SetSlices(arch.Insecure, all)
-	m.SetSlices(arch.Secure, all)
+	configureShared(m)
 	return nil
 }
 
 // EnterSecure implements Model: the ECALL constant plus a pipeline flush.
 func (SGXLike) EnterSecure(m *sim.Machine) int64 {
-	return m.Cfg.SGXEntryExitLat + m.Core(0).FlushPipeline()
+	return m.Cfg.SGXEntryExitLat + m.Cfg.PipelineFlushLat
 }
 
 // ExitSecure implements Model: the OCALL constant plus a pipeline flush.
 func (SGXLike) ExitSecure(m *sim.Machine) int64 {
-	return m.Cfg.SGXEntryExitLat + m.Core(0).FlushPipeline()
+	return m.Cfg.SGXEntryExitLat + m.Cfg.PipelineFlushLat
 }
 
 // MulticoreMI6 is the paper's baseline: MI6's strong isolation realized on
@@ -143,7 +131,7 @@ func (MulticoreMI6) Configure(m *sim.Machine) error {
 	if err := m.Part.AssignDomains(SecureControllerMask); err != nil {
 		return err
 	}
-	m.Spec.SetEnabled(true)
+	m.SetSpecCheck(true)
 	m.SetHomePolicy(arch.Insecure, cache.NewLocalHome())
 	m.SetHomePolicy(arch.Secure, cache.NewLocalHome())
 	n := m.Cfg.Cores()
@@ -178,10 +166,14 @@ func mi6Purge(m *sim.Machine) int64 {
 	return cost
 }
 
-func allSlices(m *sim.Machine) []cache.SliceID {
-	out := make([]cache.SliceID, m.Cfg.Cores())
-	for i := range out {
-		out[i] = cache.SliceID(i)
-	}
-	return out
+// configureShared installs the all-shared view the Insecure and SGX-like
+// models run on: shared DRAM regions, the speculative-access check off,
+// and hash-for-home over every L2 slice.
+func configureShared(m *sim.Machine) {
+	m.Part.Shared()
+	m.SetSpecCheck(false)
+	m.SetHomePolicy(arch.Insecure, cache.HashForHome{})
+	m.SetHomePolicy(arch.Secure, cache.HashForHome{})
+	m.SetSlices(arch.Insecure, m.AllSlices())
+	m.SetSlices(arch.Secure, m.AllSlices())
 }

@@ -42,9 +42,6 @@ func TestInsecureConfigureSharesEverything(t *testing.T) {
 	if m.Part.Isolated() {
 		t.Fatal("insecure baseline partitioned the memory system")
 	}
-	if m.Spec.Enabled() {
-		t.Fatal("insecure baseline armed the hardware check")
-	}
 	if len(m.Slices(arch.Secure)) != 64 || len(m.Slices(arch.Insecure)) != 64 {
 		t.Fatal("insecure baseline restricted slice sets")
 	}
@@ -81,9 +78,6 @@ func TestMI6ConfigurePartitions(t *testing.T) {
 	}
 	if !m.Part.Isolated() {
 		t.Fatal("MI6 left the memory system shared")
-	}
-	if !m.Spec.Enabled() {
-		t.Fatal("MI6 left the hardware check off")
 	}
 	sec, ins := m.Slices(arch.Secure), m.Slices(arch.Insecure)
 	if len(sec) != 32 || len(ins) != 32 {

@@ -23,8 +23,7 @@ type Breaker struct {
 	consecutive int
 	openedAt    time.Time
 	open        bool
-	probing     bool // a half-open probe is in flight
-	opens       int64
+	probing     bool             // a half-open probe is in flight
 	now         func() time.Time // test hook; nil means time.Now
 }
 
@@ -86,9 +85,6 @@ func (b *Breaker) Failure() {
 	b.consecutive++
 	reopen := b.open && b.probing // failed probe
 	if b.consecutive >= b.threshold() || reopen {
-		if !b.open || reopen {
-			b.opens++
-		}
 		b.open = true
 		b.probing = false
 		b.openedAt = b.clock()
@@ -101,11 +97,4 @@ func (b *Breaker) Open() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.open
-}
-
-// Opens returns how many times the breaker has opened.
-func (b *Breaker) Opens() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
 }

@@ -190,8 +190,8 @@ func TestBreaker(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("breaker must open at threshold consecutive failures")
 	}
-	if got := b.Opens(); got != 1 {
-		t.Fatalf("opens = %d, want 1", got)
+	if !b.Open() {
+		t.Fatal("Open() = false at threshold consecutive failures")
 	}
 	// Cooldown not yet lapsed: still closed to traffic.
 	clock = clock.Add(500 * time.Millisecond)

@@ -190,7 +190,7 @@ func TestTriangleCountExact(t *testing.T) {
 	tc := NewTriangleCount(gen)
 	gen.Init(m, m.NewSpace("GRAPH", arch.Insecure))
 	tc.Init(m, m.NewSpace("TC", arch.Secure))
-	if got := tc.Total(); got != 1 {
+	if got := tc.CountAll(); got != 1 {
 		t.Fatalf("triangle count = %d, want 1", got)
 	}
 }
@@ -202,7 +202,7 @@ func TestTriangleCountGridHasNone(t *testing.T) {
 	tc := NewTriangleCount(gen)
 	gen.Init(m, m.NewSpace("GRAPH", arch.Insecure))
 	tc.Init(m, m.NewSpace("TC", arch.Secure))
-	if got := tc.Total(); got != 0 {
+	if got := tc.CountAll(); got != 0 {
 		t.Fatalf("grid triangle count = %d, want 0", got)
 	}
 }

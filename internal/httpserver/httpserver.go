@@ -76,9 +76,6 @@ type Server struct {
 	connBuf sim.Buffer
 	hdrBuf  sim.Buffer
 	docBuf  sim.Buffer
-
-	served   int64
-	lastResp []byte
 }
 
 // NewServer builds the LIGHTTPD server over channel ch serving site.
@@ -112,10 +109,7 @@ func (s *Server) Round(g *sim.Group, round int) {
 		page := s.site.Page(int(r.Key))
 		// Parse + connection state.
 		c.Read(s.connBuf.Index(int(r.Key)%(s.connBuf.Size/64), 64))
-		// Real header build.
-		hdr := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\nServer: lighttpd-sim\r\n\r\n", len(page))
-		s.lastResp = append(s.lastResp[:0], hdr...)
-		s.lastResp = append(s.lastResp, page[:64]...)
+		hdr := responseHeader(len(page))
 		for off := 0; off < len(hdr); off += 64 {
 			c.Write(s.hdrBuf.Index(off%(s.hdrBuf.Size), 1))
 		}
@@ -130,12 +124,12 @@ func (s *Server) Round(g *sim.Group, round int) {
 		if i%32 == 0 {
 			s.ch.PushSyscall(osproc.Syscall{Kind: osproc.Close, FD: int(r.Key) % 512})
 		}
-		s.served++
 	})
 }
 
-// Served reports requests completed.
-func (s *Server) Served() int64 { return s.served }
-
-// LastResponse returns the most recent response prefix (tests check it).
-func (s *Server) LastResponse() []byte { return s.lastResp }
+// responseHeader builds the real HTTP response header for a page body of
+// n bytes; its length sizes the header staging writes, the compute charge
+// and the writev.
+func responseHeader(n int) string {
+	return fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\nServer: lighttpd-sim\r\n\r\n", n)
+}

@@ -2,6 +2,7 @@ package httpserver
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"ironhide/internal/arch"
@@ -64,28 +65,36 @@ func TestServerRound(t *testing.T) {
 		osp.Round(ig, r)
 		srv.Round(sg, r)
 	}
-	if srv.Served() != 4*24 {
-		t.Fatalf("served %d, want %d", srv.Served(), 4*24)
-	}
-	resp := srv.LastResponse()
-	if !bytes.HasPrefix(resp, []byte("HTTP/1.1 200 OK")) {
-		t.Fatalf("response = %q...", resp[:20])
-	}
-	if !bytes.Contains(resp, []byte("Content-Length: 20480")) {
-		t.Fatal("content length header wrong")
-	}
-	// Each request needs an fread and a writev: the OS must see both.
-	var fread, writev bool
+	// The last round's 24 requests each queued an fread of the page and
+	// a writev of header plus page for the OS's next round.
+	wantWritev := 20480 + len(responseHeader(20480))
+	var freads, writevs int
 	for _, s := range ch.Syscalls {
 		switch s.Kind {
 		case osproc.Fread:
-			fread = true
+			freads++
+			if s.Size != 20480 {
+				t.Fatalf("fread of %d bytes, want the 20480-byte page", s.Size)
+			}
 		case osproc.Writev:
-			writev = true
+			writevs++
+			if s.Size != wantWritev {
+				t.Fatalf("writev of %d bytes, want %d", s.Size, wantWritev)
+			}
 		}
 	}
-	if !fread || !writev {
-		t.Fatal("fread/writev syscalls missing")
+	if freads != 24 || writevs != 24 {
+		t.Fatalf("%d freads, %d writevs queued; want 24 each", freads, writevs)
+	}
+}
+
+func TestResponseHeader(t *testing.T) {
+	hdr := responseHeader(20480)
+	if !strings.HasPrefix(hdr, "HTTP/1.1 200 OK\r\n") {
+		t.Fatalf("header = %q", hdr)
+	}
+	if !strings.Contains(hdr, "\r\nContent-Length: 20480\r\n") || !strings.HasSuffix(hdr, "\r\n\r\n") {
+		t.Fatalf("header = %q", hdr)
 	}
 }
 

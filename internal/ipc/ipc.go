@@ -27,9 +27,6 @@ type Ring struct {
 	capacity int
 	head     int // producer byte cursor
 	tail     int // consumer byte cursor
-
-	sends, recvs int64
-	bytesMoved   int64
 }
 
 // NewRing allocates a ring of the given capacity from the insecure
@@ -52,15 +49,6 @@ func NewRing(space *sim.AddressSpace, lineSize, capacity int) (*Ring, error) {
 // Capacity returns the ring size in bytes.
 func (r *Ring) Capacity() int { return r.capacity }
 
-// Sends returns the number of Send operations.
-func (r *Ring) Sends() int64 { return r.sends }
-
-// Recvs returns the number of Recv operations.
-func (r *Ring) Recvs() int64 { return r.recvs }
-
-// BytesMoved returns the total payload bytes transferred.
-func (r *Ring) BytesMoved() int64 { return r.bytesMoved }
-
 // Send writes an n-byte message into the ring from the calling thread:
 // one store per cache line of payload, plus the head-pointer publish.
 func (r *Ring) Send(c *sim.Ctx, n int) error {
@@ -73,8 +61,6 @@ func (r *Ring) Send(c *sim.Ctx, n int) error {
 	r.head = (r.head + n) % r.capacity
 	// Publish the head pointer (a control line at the buffer start).
 	c.Write(r.buf.Addr(0))
-	r.sends++
-	r.bytesMoved += int64(n)
 	return nil
 }
 
@@ -89,8 +75,6 @@ func (r *Ring) Recv(c *sim.Ctx, n int) error {
 		c.Read(r.buf.Addr((r.tail + off) % r.capacity))
 	}
 	r.tail = (r.tail + n) % r.capacity
-	r.recvs++
-	r.bytesMoved += int64(n)
 	return nil
 }
 

@@ -57,9 +57,6 @@ func TestSendRecvTraffic(t *testing.T) {
 	if gc.Ctx(0).Reads != 5 {
 		t.Fatalf("receiver performed %d reads, want 5", gc.Ctx(0).Reads)
 	}
-	if r.Sends() != 1 || r.Recvs() != 1 || r.BytesMoved() != 512 {
-		t.Fatalf("stats sends=%d recvs=%d bytes=%d", r.Sends(), r.Recvs(), r.BytesMoved())
-	}
 	if gp.Ctx(0).Cycles() == 0 || gc.Ctx(0).Cycles() == 0 {
 		t.Fatal("IPC transfers cost nothing")
 	}
@@ -95,8 +92,19 @@ func TestRingWrapsAround(t *testing.T) {
 			t.Fatalf("recv %d: %v", i, err)
 		}
 	}
-	if r.BytesMoved() != 10*2*512 {
-		t.Fatalf("bytes moved = %d", r.BytesMoved())
+	// 8 payload lines plus the control line per message.
+	if c := g.Ctx(0); c.Writes != 10*9 || c.Reads != 10*9 {
+		t.Fatalf("%d writes, %d reads; want 90 each", c.Writes, c.Reads)
+	}
+	// The cursors wrapped: every access stayed in the ring's 16 lines.
+	l1 := m.L1(0)
+	if got := l1.Occupancy(); got != 1024/64 {
+		t.Fatalf("L1 holds %d lines, want the ring's %d", got, 1024/64)
+	}
+	for off := 0; off < 1024; off += 64 {
+		if !l1.Contains(r.Buffer().Addr(off)) {
+			t.Fatalf("ring line %d never touched", off/64)
+		}
 	}
 }
 

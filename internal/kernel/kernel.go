@@ -1,11 +1,11 @@
 // Package kernel implements the trusted light-weight secure kernel that
 // IRONHIDE (like MI6's security monitor) runs alongside secure processes
 // in the secure cluster. It attests and authenticates secure processes via
-// measurement and signature checking, admits only attested processes to
-// the secure cluster, and enforces the security-centric bound on dynamic
-// hardware isolation: at most one cluster reconfiguration per interactive
-// application invocation, which caps the information leakable through
-// scheduling timing/termination channels at a small constant.
+// measurement and signature checking — only a process that attests is
+// admitted to the secure cluster — and enforces the security-centric bound
+// on dynamic hardware isolation: at most one cluster reconfiguration per
+// interactive application invocation, which caps the information leakable
+// through scheduling timing/termination channels at a small constant.
 package kernel
 
 import (
@@ -51,7 +51,6 @@ var ErrReconfigBudget = errors.New("kernel: cluster reconfiguration budget exhau
 // Kernel is the secure kernel state.
 type Kernel struct {
 	trusted       []ed25519.PublicKey
-	admitted      map[Measurement]string
 	reconfigLimit int
 	reconfigsUsed int
 }
@@ -61,7 +60,6 @@ type Kernel struct {
 func New(trusted ...ed25519.PublicKey) *Kernel {
 	return &Kernel{
 		trusted:       trusted,
-		admitted:      make(map[Measurement]string),
 		reconfigLimit: 1,
 	}
 }
@@ -71,29 +69,19 @@ func New(trusted ...ed25519.PublicKey) *Kernel {
 func (k *Kernel) SetReconfigLimit(n int) { k.reconfigLimit = n }
 
 // Attest verifies that the process image matches the certificate's
-// measurement and that a trusted authority signed it; on success the
-// process is admitted to the secure cluster.
+// measurement and that a trusted authority signed it. A nil error admits
+// the process to the secure cluster; callers start it only then.
 func (k *Kernel) Attest(name string, image []byte, cert Certificate) error {
 	if Measure(name, image) != cert.Measurement {
 		return fmt.Errorf("%w: measurement mismatch for %q", ErrNotAttested, name)
 	}
 	for _, pub := range k.trusted {
 		if ed25519.Verify(pub, cert.Measurement[:], cert.Signature) {
-			k.admitted[cert.Measurement] = name
 			return nil
 		}
 	}
 	return fmt.Errorf("%w: no trusted authority signed %q", ErrNotAttested, name)
 }
-
-// Admitted reports whether a process measurement has been attested.
-func (k *Kernel) Admitted(m Measurement) bool {
-	_, ok := k.admitted[m]
-	return ok
-}
-
-// AdmittedCount returns the number of admitted secure processes.
-func (k *Kernel) AdmittedCount() int { return len(k.admitted) }
 
 // AuthorizeReconfig consumes one unit of the reconfiguration budget,
 // failing once the per-invocation bound is reached.

@@ -21,8 +21,6 @@ type Store struct {
 	used     int
 	items    map[uint32]*list.Element
 	lru      *list.List // front = most recent
-
-	hits, misses, evictions int64
 }
 
 type item struct {
@@ -43,11 +41,9 @@ func NewStore(capacity int) *Store {
 func (s *Store) Get(key uint32) ([]byte, bool) {
 	el, ok := s.items[key]
 	if !ok {
-		s.misses++
 		return nil, false
 	}
 	s.lru.MoveToFront(el)
-	s.hits++
 	return el.Value.(*item).value, true
 }
 
@@ -68,7 +64,6 @@ func (s *Store) Set(key uint32, value []byte) {
 		s.used -= len(it.value)
 		delete(s.items, it.key)
 		s.lru.Remove(back)
-		s.evictions++
 	}
 }
 
@@ -77,9 +72,6 @@ func (s *Store) Len() int { return s.lru.Len() }
 
 // Used returns resident value bytes.
 func (s *Store) Used() int { return s.used }
-
-// Stats returns (hits, misses, evictions).
-func (s *Store) Stats() (int64, int64, int64) { return s.hits, s.misses, s.evictions }
 
 // Request opcodes produced by the memtier source.
 const (
@@ -127,8 +119,6 @@ type Server struct {
 
 	indexBuf sim.Buffer
 	slabBuf  sim.Buffer
-
-	gets, sets int64
 }
 
 // NewServer builds the MEMCACHED server over channel ch with the given
@@ -171,7 +161,6 @@ func (s *Server) Round(g *sim.Group, round int) {
 			for off := 0; off < r.Size; off += 64 {
 				c.Write(s.slabBuf.Addr((int(r.Key)*128 + off) % s.slabBuf.Size))
 			}
-			s.sets++
 			c.Compute(int64(220 + r.Size/8))
 		default:
 			v, ok := s.store.Get(r.Key)
@@ -182,7 +171,6 @@ func (s *Server) Round(g *sim.Group, round int) {
 					c.Read(s.slabBuf.Addr((int(r.Key)*128 + off) % s.slabBuf.Size))
 				}
 			}
-			s.gets++
 			c.Compute(int64(160 + n/8))
 		}
 		// Every response goes back through the OS (writev); connection
@@ -202,6 +190,3 @@ func (s *Server) pushSyscall(sc osproc.Syscall) { s.ch.PushSyscall(sc) }
 
 // Store exposes the underlying store for tests.
 func (s *Server) Store() *Store { return s.store }
-
-// Ops returns (gets, sets) served.
-func (s *Server) Ops() (int64, int64) { return s.gets, s.sets }

@@ -36,7 +36,6 @@ type Stats struct {
 // the controller for MCServiceLat cycles and the requester observes any
 // queueing delay plus the DRAM access latency.
 type Controller struct {
-	id         ControllerID
 	queueDepth int
 	serviceLat int64
 	dramLat    int64
@@ -45,19 +44,15 @@ type Controller struct {
 	stats      Stats
 }
 
-// NewController builds controller id from the machine configuration.
-func NewController(id ControllerID, cfg arch.Config) *Controller {
+// NewController builds a controller from the machine configuration.
+func NewController(cfg arch.Config) *Controller {
 	return &Controller{
-		id:         id,
 		queueDepth: cfg.MCQueueDepth,
 		serviceLat: cfg.MCServiceLat,
 		dramLat:    cfg.DRAMLat,
 		drainLat:   cfg.MCDrainLat,
 	}
 }
-
-// ID returns the controller identifier.
-func (c *Controller) ID() ControllerID { return c.id }
 
 // Stats returns a copy of the counters.
 func (c *Controller) Stats() Stats { return c.stats }

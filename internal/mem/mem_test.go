@@ -9,7 +9,7 @@ import (
 
 func TestAccessLatencyIdle(t *testing.T) {
 	cfg := arch.TileGx72()
-	c := NewController(0, cfg)
+	c := NewController(cfg)
 	got := c.Access(0, false)
 	if want := cfg.MCServiceLat + cfg.DRAMLat; got != want {
 		t.Fatalf("idle access latency = %d, want %d", got, want)
@@ -18,7 +18,7 @@ func TestAccessLatencyIdle(t *testing.T) {
 
 func TestAccessQueueing(t *testing.T) {
 	cfg := arch.TileGx72()
-	c := NewController(0, cfg)
+	c := NewController(cfg)
 	c.Access(0, false)
 	// Second request at the same instant waits one service slot.
 	got := c.Access(0, false)
@@ -32,7 +32,7 @@ func TestAccessQueueing(t *testing.T) {
 
 func TestAccessBacklogBounded(t *testing.T) {
 	cfg := arch.TileGx72()
-	c := NewController(0, cfg)
+	c := NewController(cfg)
 	var worst int64
 	for i := 0; i < 1000; i++ {
 		if l := c.Access(0, false); l > worst {
@@ -47,7 +47,7 @@ func TestAccessBacklogBounded(t *testing.T) {
 
 func TestWriteFillsQueueAndPurgeDrains(t *testing.T) {
 	cfg := arch.TileGx72()
-	c := NewController(0, cfg)
+	c := NewController(cfg)
 	for i := 0; i < 5; i++ {
 		c.Access(int64(i*1000), true)
 	}
@@ -69,7 +69,7 @@ func TestWriteFillsQueueAndPurgeDrains(t *testing.T) {
 
 func TestQueueOccupancyCapped(t *testing.T) {
 	cfg := arch.TileGx72()
-	c := NewController(0, cfg)
+	c := NewController(cfg)
 	for i := 0; i < 1000; i++ {
 		c.Access(int64(i), true)
 	}
@@ -158,7 +158,7 @@ func TestRegionControllerDomainAgreement(t *testing.T) {
 }
 
 func TestResetStats(t *testing.T) {
-	c := NewController(0, arch.TileGx72())
+	c := NewController(arch.TileGx72())
 	c.Access(0, true)
 	c.ResetStats()
 	if c.Stats().Requests != 0 {

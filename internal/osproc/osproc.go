@@ -84,8 +84,6 @@ type OSProcess struct {
 	src              Source
 	requestsPerRound int
 
-	served int64
-
 	netBuf   sim.Buffer
 	fdBuf    sim.Buffer
 	cacheBuf sim.Buffer
@@ -139,7 +137,6 @@ func (p *OSProcess) Round(g *sim.Group, round int) {
 			c.Write(p.fdBuf.Index(s.FD%(p.fdBuf.Size/8), 8))
 			c.Compute(110)
 		}
-		p.served++
 	})
 
 	reqs := p.src.Generate(round, p.requestsPerRound)
@@ -152,6 +149,3 @@ func (p *OSProcess) Round(g *sim.Group, round int) {
 	})
 	p.ch.Inbox = append(p.ch.Inbox, reqs...)
 }
-
-// Served reports how many syscalls the OS has completed.
-func (p *OSProcess) Served() int64 { return p.served }

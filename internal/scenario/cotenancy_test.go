@@ -115,8 +115,12 @@ func TestCoTenancyPoliciesAndValidation(t *testing.T) {
 	}
 }
 
-// memoTraces captures each application once per test and shares the
-// trace across runs, as the service's trace cache does.
+// sharedTraces is the package's one capture memo: the co-tenant timeline
+// tests pay for each application's capture once between them.
+var sharedTraces = memoTraces()
+
+// memoTraces captures each application once and shares the trace across
+// runs, as the service's trace cache does.
 func memoTraces() func(apps.Entry, float64) (*trace.Trace, error) {
 	var mu sync.Mutex
 	memo := map[string]*trace.Trace{}
@@ -142,7 +146,7 @@ func memoTraces() func(apps.Entry, float64) (*trace.Trace, error) {
 // pack every tenant into both clusters, so the engine forces the resize
 // the policy would defer. "always" never defers, so it never forces.
 func TestCoTenantTimelinesCompleteUnderEveryPolicy(t *testing.T) {
-	traceFor := memoTraces()
+	traceFor := sharedTraces
 	for _, pol := range ReconfigPolicyNames() {
 		t.Run(pol, func(t *testing.T) {
 			t.Parallel()
@@ -172,6 +176,45 @@ func TestCoTenantTimelinesCompleteUnderEveryPolicy(t *testing.T) {
 			t.Logf("%s: %d forced resizes", pol, forced)
 			if (pol == "always") != (forced == 0) {
 				t.Fatalf("%d forced resizes under %s", forced, pol)
+			}
+		})
+	}
+}
+
+// A co-tenant timeline's report is byte-identical at 1 and 4 workers under
+// every reconfiguration policy, forced resizes included: seed 1 forces one
+// under hysteresis and seed 28 one under costaware.
+func TestCoTenantTimelinesWorkerCountIdentity(t *testing.T) {
+	seeds := []int64{1, 28}
+	for _, pol := range ReconfigPolicyNames() {
+		t.Run(pol, func(t *testing.T) {
+			t.Parallel()
+			forced := 0
+			for _, seed := range seeds {
+				spec := Spec{Seed: seed, Scale: 0.05, Events: 8, CoTenancy: true, ReconfigPolicy: pol}
+				var ref []byte
+				for _, workers := range []int{1, 4} {
+					rep, err := Run(testCfg(), spec, Options{Workers: workers, TraceFor: sharedTraces})
+					if err != nil {
+						t.Fatalf("seed %d, %d workers: %v", seed, workers, err)
+					}
+					got := reportJSON(t, rep)
+					if ref == nil {
+						ref = got
+						for _, ph := range rep.Phases {
+							if ph.ForcedResize {
+								forced++
+							}
+						}
+						continue
+					}
+					if !bytes.Equal(ref, got) {
+						t.Fatalf("seed %d: report at %d workers diverged from 1 worker:\n%s\nvs\n%s", seed, workers, ref, got)
+					}
+				}
+			}
+			if (pol == "always") != (forced == 0) {
+				t.Fatalf("%d forced resizes under %s on seeds %v; hysteresis and costaware need one each, or the check is vacuous", forced, pol, seeds)
 			}
 		})
 	}

@@ -136,3 +136,29 @@ func recordStream(tb testing.TB) []byte {
 	}
 	return rec.Body.Bytes()
 }
+
+// FuzzParseTraceKey feeds arbitrary strings to the decoder of a peer's
+// GET /v1/trace/{key} path and of the store's key names. It must never
+// panic, and every key it accepts must re-parse from its String to an
+// equal key, or a stored trace would be orphaned under a second identity.
+func FuzzParseTraceKey(f *testing.F) {
+	for _, s := range []string{
+		"aes-query@0.1#42", "weird@app#name@0.001#-7", "x@5e-324#0",
+		"a@NaN#1", "a@+Inf#1", "a@0#1", "a@0x1p-2#+3", "@1#5", "a@1#",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		k, err := ParseTraceKey(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseTraceKey(k.String())
+		if err != nil {
+			t.Fatalf("%q parsed as %+v, whose String %q is rejected: %v", s, k, k.String(), err)
+		}
+		if again != k {
+			t.Fatalf("%q parsed as %+v, re-parsed from %q as %+v", s, k, k.String(), again)
+		}
+	})
+}

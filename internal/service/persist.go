@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -12,13 +13,16 @@ import (
 
 // String renders the key as "app@scale#seed" — the identity under which
 // the trace is persisted in the store. Scale uses the shortest exact
-// float formatting, so String/ParseTraceKey round-trip bit-for-bit.
+// float formatting, so every key ParseTraceKey accepts re-parses from its
+// String bit-for-bit.
 func (k TraceKey) String() string {
 	return k.App + "@" + strconv.FormatFloat(k.Scale, 'g', -1, 64) + "#" + strconv.FormatInt(k.Seed, 10)
 }
 
 // ParseTraceKey inverts TraceKey.String. Application names may themselves
-// contain '@' or '#', so the separators are resolved right-to-left.
+// contain '@' or '#', so the separators are resolved right-to-left. The
+// scale must be finite and positive: Query.scale never keys a trace under
+// any other value, and NaN would not equal itself after a round trip.
 func ParseTraceKey(s string) (TraceKey, error) {
 	hash := strings.LastIndexByte(s, '#')
 	if hash < 0 {
@@ -35,6 +39,9 @@ func ParseTraceKey(s string) (TraceKey, error) {
 	scale, err := strconv.ParseFloat(s[at+1:hash], 64)
 	if err != nil {
 		return TraceKey{}, fmt.Errorf("trace key %q: bad scale: %v", s, err)
+	}
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return TraceKey{}, fmt.Errorf("trace key %q: scale %v is not finite and positive", s, scale)
 	}
 	if at == 0 {
 		return TraceKey{}, fmt.Errorf("trace key %q: empty app", s)

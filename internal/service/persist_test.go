@@ -37,6 +37,16 @@ func TestParseTraceKeyRejects(t *testing.T) {
 		"a@1#x",      // bad seed
 		"a@1#",       // empty seed
 		"a@1.5#5abc", // trailing junk in seed
+		"a@NaN#1",    // NaN never equals itself after a round trip
+		"a@nan#1",
+		"a@Inf#1", // non-finite scales
+		"a@+Inf#1",
+		"a@-Inf#1",
+		"a@infinity#1",
+		"a@0#1", // non-positive scales
+		"a@-0#1",
+		"a@-0.5#1",
+		"a@1e-400#1", // underflows to zero
 	} {
 		if k, err := ParseTraceKey(s); err == nil {
 			t.Fatalf("ParseTraceKey(%q) accepted as %+v", s, k)

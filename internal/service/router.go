@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"ironhide/internal/apps"
@@ -30,8 +29,6 @@ type Router struct {
 	clients  map[string]*Client
 	breakers map[string]*fleet.Breaker
 	cfg      RouterConfig
-
-	failovers atomic.Int64
 }
 
 // RouterConfig tunes a Router.
@@ -121,10 +118,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 func (rt *Router) Owners(key string) []string {
 	return rt.ring.Owners(key, rt.replicas)
 }
-
-// Failovers returns the total number of shard attempts abandoned in
-// favor of the next replica since the router was built.
-func (rt *Router) Failovers() int64 { return rt.failovers.Load() }
 
 // RouteKey derives the consistent-hash routing key for a query: the same
 // (app, scale, seed) trace identity the shards key their caches and
@@ -229,7 +222,6 @@ func (rt *Router) post(ctx context.Context, path, key string, body []byte, accep
 			}
 			br.Failure()
 			res.Failovers++
-			rt.failovers.Add(1)
 			lastErr = err
 			if ctx.Err() != nil {
 				return res, ctx.Err()

@@ -86,7 +86,7 @@ func TestRouterFailsOverOnDeadOwner(t *testing.T) {
 	if res.Shard == owners[0] {
 		t.Fatalf("answered by the dead owner %s?", res.Shard)
 	}
-	if res.Failovers == 0 || rt.Failovers() == 0 {
+	if res.Failovers == 0 {
 		t.Fatal("failover not counted")
 	}
 	if !bytes.Equal(healthy, failedOver) {
@@ -124,25 +124,26 @@ func TestRouterBreakerSkipsDeadShard(t *testing.T) {
 	}
 
 	// Drive the owner's breaker open, then confirm later requests skip it
-	// entirely: failovers stop accruing once the breaker eats the attempt.
+	// entirely: a request fails over no more once the breaker eats the
+	// attempt.
 	for i := 0; i < 3; i++ {
 		var resp json.RawMessage
 		if _, err := rt.Query(context.Background(), "/v1/run", q, &resp); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	if rt.breakers[owner].Opens() == 0 {
+	if !rt.breakers[owner].Open() {
 		t.Fatal("dead owner's breaker never opened")
 	}
-	before := rt.Failovers()
 	for i := 0; i < 4; i++ {
 		var resp json.RawMessage
-		if _, err := rt.Query(context.Background(), "/v1/run", q, &resp); err != nil {
+		res, err := rt.Query(context.Background(), "/v1/run", q, &resp)
+		if err != nil {
 			t.Fatalf("post-open request %d: %v", i, err)
 		}
-	}
-	if got := rt.Failovers(); got != before {
-		t.Fatalf("open breaker still burning attempts: failovers %d → %d", before, got)
+		if res.Failovers != 0 {
+			t.Fatalf("post-open request %d: open breaker still burning attempts (%d failovers)", i, res.Failovers)
+		}
 	}
 }
 
@@ -150,9 +151,8 @@ func TestRouterBreakerSkipsDeadShard(t *testing.T) {
 // reject — must surface immediately, not retry across the fleet.
 func TestRouterNonRetryableSurfacesImmediately(t *testing.T) {
 	_, _, rt := routedFleet(t, 41)
-	before := rt.Failovers()
 	var resp json.RawMessage
-	_, err := rt.Query(context.Background(), "/v1/run", Query{App: "aes-query", Model: "NO-SUCH-MODEL", Scale: 0.1}, &resp)
+	res, err := rt.Query(context.Background(), "/v1/run", Query{App: "aes-query", Model: "NO-SUCH-MODEL", Scale: 0.1}, &resp)
 	if err == nil {
 		t.Fatal("malformed query succeeded")
 	}
@@ -160,7 +160,7 @@ func TestRouterNonRetryableSurfacesImmediately(t *testing.T) {
 	if !errors.As(err, &se) || se.Status != http.StatusBadRequest {
 		t.Fatalf("want a 400 StatusError, got %v", err)
 	}
-	if rt.Failovers() != before {
+	if res.Failovers != 0 {
 		t.Fatal("a deterministic 400 was retried across shards")
 	}
 }

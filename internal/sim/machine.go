@@ -1,8 +1,8 @@
-// Package sim composes the hardware substrates — cores, private L1 caches
-// and TLBs, the distributed shared L2, the 2-D mesh, and the memory
-// controllers — into the 64-core machine the paper evaluates, and provides
-// the deterministic execution engine that runs instrumented workload
-// threads on it.
+// Package sim composes the hardware substrates — per-core private L1
+// caches and TLBs, the distributed shared L2, the 2-D mesh, the memory
+// controllers, and the speculative-access check — into the 64-core machine
+// the paper evaluates, and provides the deterministic execution engine that
+// runs instrumented workload threads on it.
 //
 // The simulator is a timing/state model: every memory reference issued by
 // a workload walks TLB -> L1 -> (mesh) -> home L2 slice -> (mesh) ->
@@ -17,7 +17,6 @@ import (
 
 	"ironhide/internal/arch"
 	"ironhide/internal/cache"
-	"ironhide/internal/cpu"
 	"ironhide/internal/mem"
 	"ironhide/internal/noc"
 	"ironhide/internal/tlb"
@@ -39,13 +38,24 @@ type Machine struct {
 	Cfg  arch.Config
 	Mesh *noc.Mesh
 	Part *mem.Partition
-	Spec *cpu.SpecChecker
 
-	cores []*cpu.Core
-	l1    []*cache.Cache
-	tlbs  []*tlb.TLB
-	l2    *cache.SliceArray
-	mcs   []*mem.Controller
+	l1   []*cache.Cache
+	tlbs []*tlb.TLB
+	l2   *cache.SliceArray
+	mcs  []*mem.Controller
+
+	// specCheck arms the hardware speculative-access check that multicore
+	// MI6 and IRONHIDE employ (paper Section III-A2). Every access an
+	// insecure process issues is checked against the region owner map, and
+	// one whose data is homed in a secure DRAM region is stalled and then
+	// discarded — speculative or not — with no architectural effect, so
+	// secret-dependent state never forms outside the secure domain. The
+	// check is asymmetric: a secure process may access the insecure world's
+	// regions, which is how the shared IPC buffer works (the shared data is
+	// insecure by definition, and no secure data ever leaves the secure
+	// regions). The insecure and SGX-like baselines leave it off; Reset
+	// disarms it.
+	specCheck bool
 
 	mcAttach []arch.Coord // mesh-edge attach point of each controller
 
@@ -151,12 +161,9 @@ func NewMachine(cfg arch.Config) (*Machine, error) {
 		Mesh: noc.New(cfg),
 		Part: mem.NewPartition(cfg),
 	}
-	m.Spec = cpu.NewSpecChecker(false, m.Part.OwnerOf)
-	m.cores = make([]*cpu.Core, n)
 	m.l1 = make([]*cache.Cache, n)
 	m.tlbs = make([]*tlb.TLB, n)
 	for i := 0; i < n; i++ {
-		m.cores[i] = cpu.NewCore(arch.CoreID(i), cfg)
 		m.l1[i] = cache.New(cfg.L1Size, cfg.L1Ways, cfg.LineSize)
 		m.tlbs[i] = tlb.New(cfg.TLBEntries, cfg.TLBWays)
 	}
@@ -164,7 +171,7 @@ func NewMachine(cfg arch.Config) (*Machine, error) {
 	m.mcs = make([]*mem.Controller, cfg.MemControllers)
 	m.mcAttach = make([]arch.Coord, cfg.MemControllers)
 	for i := range m.mcs {
-		m.mcs[i] = mem.NewController(mem.ControllerID(i), cfg)
+		m.mcs[i] = mem.NewController(cfg)
 		m.mcAttach[i] = mcAttachPoint(i, cfg)
 	}
 	m.pageShift = uint(bits.TrailingZeros(uint(cfg.PageSize)))
@@ -198,7 +205,6 @@ func NewMachine(cfg arch.Config) (*Machine, error) {
 // gates it byte-identical to a fresh machine.
 func (m *Machine) Reset() {
 	for i := range m.l1 {
-		m.cores[i].Reset()
 		m.l1[i].Reset()
 		m.tlbs[i].Reset()
 	}
@@ -208,7 +214,7 @@ func (m *Machine) Reset() {
 	}
 	m.Mesh.ResetTraffic()
 	m.Part.Shared()
-	m.Spec.Reset()
+	m.specCheck = false
 	m.pages = m.pages[:0]
 	m.pagesByDom[arch.Insecure] = m.pagesByDom[arch.Insecure][:0]
 	m.pagesByDom[arch.Secure] = m.pagesByDom[arch.Secure][:0]
@@ -230,6 +236,11 @@ func (m *Machine) Reset() {
 	m.blockedAccesses = 0
 	m.groupNext = 0
 }
+
+// SetSpecCheck arms or disarms the speculative-access check (see the
+// specCheck field); the security models set it when they configure the
+// machine.
+func (m *Machine) SetSpecCheck(on bool) { m.specCheck = on }
 
 // SetLiteExec switches the flat-latency execution mode on or off (see the
 // liteExec field). Reset clears it.
@@ -264,9 +275,6 @@ func (m *Machine) TLB(c arch.CoreID) *tlb.TLB { return m.tlbs[c] }
 
 // L2 returns the distributed shared L2.
 func (m *Machine) L2() *cache.SliceArray { return m.l2 }
-
-// Core returns core c's processor model.
-func (m *Machine) Core(c arch.CoreID) *cpu.Core { return m.cores[c] }
 
 // MC returns memory controller i.
 func (m *Machine) MC(i mem.ControllerID) *mem.Controller { return m.mcs[i] }
@@ -365,10 +373,10 @@ func (m *Machine) Access(core arch.CoreID, addr arch.Addr, write bool, d arch.Do
 	}
 	pg := &m.pages[pn]
 
-	// Hardware speculative-access check (MI6 / IRONHIDE): insecure
-	// accesses destined to secure DRAM regions are stalled and discarded
-	// with no architectural effect.
-	if m.Spec.Check(d, pg.region) == cpu.Blocked {
+	// The speculative-access check (see the specCheck field): an insecure
+	// access to a secure DRAM region is discarded without touching any
+	// microarchitecture state.
+	if m.specCheck && d == arch.Insecure && m.Part.OwnerOf(pg.region) == arch.Secure {
 		m.blockedAccesses++
 		return m.Cfg.L1HitLat
 	}

@@ -81,7 +81,7 @@ func TestSpecCheckBlocksCrossDomain(t *testing.T) {
 	if err := m.Part.AssignDomains(0b0011); err != nil {
 		t.Fatal(err)
 	}
-	m.Spec.SetEnabled(true)
+	m.SetSpecCheck(true)
 	sb := m.NewSpace("enclave", arch.Secure).Alloc("secret", 4096)
 	// Insecure access to a secure page is discarded cheaply.
 	lat := m.Access(0, sb.Addr(0), false, arch.Insecure, 0)

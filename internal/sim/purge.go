@@ -65,6 +65,10 @@ func (m *Machine) AllCores() []arch.CoreID {
 	return out
 }
 
+// AllSlices lists every L2 slice: the slice set a fresh machine homes both
+// domains on. It is the machine's own list; callers must not modify it.
+func (m *Machine) AllSlices() []cache.SliceID { return m.allSlices }
+
 // AllMCs lists every memory controller.
 func (m *Machine) AllMCs() []mem.ControllerID {
 	out := make([]mem.ControllerID, len(m.mcs))

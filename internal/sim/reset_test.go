@@ -9,15 +9,15 @@ import (
 )
 
 // equivSignature collects every behavior-bearing observable of an
-// equivalence run: per-access latencies plus all cache, TLB, mesh, and
-// check counters. Two machines are behaviorally identical iff their
+// equivalence run: per-access latencies, cache and mesh counters, TLB
+// residency by owner, and the check counters. Two machines are behaviorally identical iff their
 // signatures match.
 type equivSignature struct {
 	lats       []int64
 	l1Acc      []int64
 	l1Miss     []int64
-	tlbAcc     []int64
-	tlbMiss    []int64
+	tlbSec     []int
+	tlbIns     []int
 	l2Acc      []int64
 	l2Miss     []int64
 	traffic    int64
@@ -36,9 +36,8 @@ func signatureOf(m *Machine, lats []int64) equivSignature {
 		l1 := m.L1(c).Stats()
 		sig.l1Acc = append(sig.l1Acc, l1.Accesses)
 		sig.l1Miss = append(sig.l1Miss, l1.Misses)
-		tl := m.TLB(c).Stats()
-		sig.tlbAcc = append(sig.tlbAcc, tl.Accesses)
-		sig.tlbMiss = append(sig.tlbMiss, tl.Misses)
+		sig.tlbSec = append(sig.tlbSec, m.TLB(c).OccupancyByOwner(arch.Secure))
+		sig.tlbIns = append(sig.tlbIns, m.TLB(c).OccupancyByOwner(arch.Insecure))
 		l2 := m.L2().Slice(cache.SliceID(c)).Stats()
 		sig.l2Acc = append(sig.l2Acc, l2.Accesses)
 		sig.l2Miss = append(sig.l2Miss, l2.Misses)
@@ -61,9 +60,9 @@ func compareSignatures(t *testing.T, want, got equivSignature) {
 			t.Fatalf("core %d L1 stats diverged: fresh %d/%d, reset %d/%d",
 				i, want.l1Acc[i], want.l1Miss[i], got.l1Acc[i], got.l1Miss[i])
 		}
-		if want.tlbAcc[i] != got.tlbAcc[i] || want.tlbMiss[i] != got.tlbMiss[i] {
-			t.Fatalf("core %d TLB stats diverged: fresh %d/%d, reset %d/%d",
-				i, want.tlbAcc[i], want.tlbMiss[i], got.tlbAcc[i], got.tlbMiss[i])
+		if want.tlbSec[i] != got.tlbSec[i] || want.tlbIns[i] != got.tlbIns[i] {
+			t.Fatalf("core %d TLB residency diverged: fresh %d/%d, reset %d/%d",
+				i, want.tlbSec[i], want.tlbIns[i], got.tlbSec[i], got.tlbIns[i])
 		}
 		if want.l2Acc[i] != got.l2Acc[i] || want.l2Miss[i] != got.l2Miss[i] {
 			t.Fatalf("slice %d L2 stats diverged: fresh %d/%d, reset %d/%d",

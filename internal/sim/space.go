@@ -45,7 +45,6 @@ type AddressSpace struct {
 	m      *Machine
 	domain arch.Domain
 	proc   string
-	bytes  int
 }
 
 // NewSpace opens an address space for a process of the given domain.
@@ -55,9 +54,6 @@ func (m *Machine) NewSpace(proc string, d arch.Domain) *AddressSpace {
 
 // Domain returns the owning security domain.
 func (as *AddressSpace) Domain() arch.Domain { return as.domain }
-
-// Bytes returns the total bytes allocated so far.
-func (as *AddressSpace) Bytes() int { return as.bytes }
 
 // Alloc reserves size bytes (rounded up to whole pages) and returns the
 // buffer describing them.
@@ -91,7 +87,6 @@ func (as *AddressSpace) Alloc(name string, size int) Buffer {
 		m.pages = append(m.pages, pageInfo{domain: as.domain, region: region, home: home})
 		m.pagesByDom[as.domain] = append(m.pagesByDom[as.domain], pn)
 	}
-	as.bytes += npages * ps
 	return Buffer{Name: name, Proc: as.proc, Base: base, Size: npages * ps}
 }
 

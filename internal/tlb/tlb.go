@@ -13,21 +13,6 @@ import (
 	"ironhide/internal/arch"
 )
 
-// Stats accumulates TLB access counters.
-type Stats struct {
-	Accesses int64
-	Misses   int64
-	Flushes  int64
-}
-
-// MissRate returns misses/accesses, or 0 for an untouched TLB.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // entry is one translation. An entry is resident iff its generation stamp
 // matches the TLB's current generation, so Flush and Reset are O(1)
 // generation bumps (zero entries, gen 0, are never resident — the TLB
@@ -54,7 +39,6 @@ type TLB struct {
 	// Reset and Flush never need to touch this table.
 	mruOf []*entry
 	clock uint64
-	stats Stats
 }
 
 // New builds a TLB with the given total entries and associativity.
@@ -76,19 +60,12 @@ func New(entries, ways int) *TLB {
 // Entries returns total capacity.
 func (t *TLB) Entries() int { return len(t.entries) }
 
-// Stats returns a copy of the counters.
-func (t *TLB) Stats() Stats { return t.stats }
-
-// ResetStats zeroes the counters, keeping contents.
-func (t *TLB) ResetStats() { t.stats = Stats{} }
-
 // Reset restores the TLB to its freshly built state — empty, zero
-// counters, zero clock — in O(1) via a generation bump. The machine arena
+// clock — in O(1) via a generation bump. The machine arena
 // uses it when recycling a machine between probes.
 func (t *TLB) Reset() {
 	t.gen++
 	t.clock = 0
-	t.stats = Stats{}
 }
 
 // HitMRU is the inlineable fast half of Lookup: it performs the lookup
@@ -103,7 +80,6 @@ func (t *TLB) HitMRU(vpn uint64) bool {
 		return false
 	}
 	t.clock++
-	t.stats.Accesses++
 	e.used = t.clock
 	return true
 }
@@ -124,7 +100,6 @@ func (t *TLB) Lookup(vpn uint64, owner arch.Domain) bool {
 // pure waste on the miss path. State evolution is identical to Lookup.
 func (t *TLB) ScanLookup(vpn uint64, owner arch.Domain) bool {
 	t.clock++
-	t.stats.Accesses++
 	base := int(vpn&t.setMask) * t.ways
 	free, victim := -1, base
 	var oldest uint64 = ^uint64(0)
@@ -146,7 +121,6 @@ func (t *TLB) ScanLookup(vpn uint64, owner arch.Domain) bool {
 			victim = base + w
 		}
 	}
-	t.stats.Misses++
 	slot := victim
 	if free >= 0 {
 		slot = free
@@ -189,6 +163,5 @@ func (t *TLB) Flush() int {
 		}
 	}
 	t.gen++
-	t.stats.Flushes++
 	return n
 }

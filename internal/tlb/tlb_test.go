@@ -16,10 +16,6 @@ func TestMissThenHit(t *testing.T) {
 	if !tb.Lookup(5, arch.Secure) {
 		t.Fatal("repeat lookup missed")
 	}
-	st := tb.Stats()
-	if st.Accesses != 2 || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
 }
 
 func TestNewPanicsOnBadGeometry(t *testing.T) {
@@ -61,9 +57,6 @@ func TestFlush(t *testing.T) {
 	if tb.OccupancyByOwner(arch.Secure) != 0 || tb.OccupancyByOwner(arch.Insecure) != 0 {
 		t.Fatal("entries survived flush")
 	}
-	if tb.Stats().Flushes != 1 {
-		t.Fatal("flush not counted")
-	}
 }
 
 func TestOccupancyByOwner(t *testing.T) {
@@ -79,8 +72,7 @@ func TestOccupancyByOwner(t *testing.T) {
 	}
 }
 
-// Property: a looked-up vpn is resident immediately afterwards, and the
-// number of misses never exceeds accesses.
+// Property: a looked-up vpn is resident immediately afterwards.
 func TestLookupInstalls(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		tb := New(16, 4)
@@ -92,8 +84,7 @@ func TestLookupInstalls(t *testing.T) {
 				return false
 			}
 		}
-		st := tb.Stats()
-		return st.Misses <= st.Accesses
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -117,17 +108,6 @@ func TestFlushComplete(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Fatal("zero stats miss rate")
-	}
-	s = Stats{Accesses: 8, Misses: 2}
-	if s.MissRate() != 0.25 {
-		t.Fatalf("MissRate = %v", s.MissRate())
 	}
 }
 
