@@ -3,13 +3,12 @@
 // TestAllocBudgets holds every row to its heap-allocation budget, and
 // BenchmarkOps times the same rows for -bench and -cpuprofile work:
 //
-//	go test -run '^$' -bench 'Ops/SearchProbe/replay' -cpuprofile cpu.out .
+//	go test -run '^$' -bench 'Ops/^Search$' -cpuprofile cpu.out .
 //
 // End-to-end and per-layer timing lives in the benchmark/ module.
 package ironhide
 
 import (
-	"math"
 	"runtime"
 	"testing"
 
@@ -73,8 +72,7 @@ var allocOps = []allocOp{
 			off = (off + line) % buf.Size
 		}
 	}},
-	// One binding-search probe of <AES, QUERY>: the one-time capture, and
-	// a replay of that capture.
+	// The one-time capture of <AES, QUERY> a binding search replays.
 	{"SearchProbe/capture", 8320, 0, func(tb testing.TB) func() {
 		cfg, entry := arch.TileGx72(), appEntry(tb, "<AES, QUERY>")
 		return func() {
@@ -83,10 +81,12 @@ var allocOps = []allocOp{
 			}
 		}
 	}},
-	{"SearchProbe/replay", 85, 0, func(tb testing.TB) func() {
+	// One gradient binding search over that capture: every probe replays
+	// it on a recycled machine.
+	{"Search", 674, 77_962, func(tb testing.TB) func() {
 		cfg, tr := arch.TileGx72(), probeTrace(tb)
 		return func() {
-			if _, err := driver.ProfileTrace(cfg, core.New(32), tr, probeOpts, probeCandidate); err != nil {
+			if _, err := driver.SearchTrace(cfg, core.New(32), tr, probeOpts); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -118,10 +118,10 @@ var allocOps = []allocOp{
 	}},
 	// A resize-heavy multi-tenant timeline, without and with a streaming
 	// event sink.
-	{"ScenarioPhase", 7675, 10_062_739, func(tb testing.TB) func() {
+	{"ScenarioPhase", 6028, 10_062_739, func(tb testing.TB) func() {
 		return func() { runScenario(tb, scenario.Options{}) }
 	}},
-	{"ScenarioStream", 7675, 10_062_739, func(tb testing.TB) func() {
+	{"ScenarioStream", 6031, 10_062_739, func(tb testing.TB) func() {
 		return func() {
 			events := 0
 			rep := runScenario(tb, scenario.Options{Sink: func(scenario.StreamEvent) { events++ }})
@@ -131,8 +131,8 @@ var allocOps = []allocOp{
 		}
 	}},
 	// One app×model matrix on one runner worker and on all host cores.
-	{"GridSequential", 10039, 4_835_750, func(tb testing.TB) func() { return gridOp(tb, 1) }},
-	{"GridParallel", 10041, 4_835_750, func(tb testing.TB) func() { return gridOp(tb, runtime.NumCPU()) }},
+	{"GridSequential", 8312, 4_835_750, func(tb testing.TB) func() { return gridOp(tb, 1) }},
+	{"GridParallel", 8322, 4_835_750, func(tb testing.TB) func() { return gridOp(tb, runtime.NumCPU()) }},
 	// One space-shared co-run of two tenants on disjoint sub-gangs.
 	{"CoTenantReplay", 91, 0, func(tb testing.TB) func() {
 		cfg := arch.TileGx72Scaled(12)
@@ -158,7 +158,7 @@ var allocOps = []allocOp{
 	}},
 	// The joint scheduler end to end: demand searches, every policy's
 	// partition and its scoring co-runs.
-	{"JointSearch", 3871, 1_809_677, func(tb testing.TB) func() {
+	{"JointSearch", 2452, 1_809_677, func(tb testing.TB) func() {
 		cfg := arch.TileGx72Scaled(12)
 		tenants := tenantTraces(tb, cfg, 0.04)
 		workers := runtime.NumCPU()
@@ -200,7 +200,7 @@ var allocOps = []allocOp{
 // TestAllocBudgets holds every row of allocOps to its allocation bound.
 func TestAllocBudgets(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race mode randomly defeats sync.Pool recycling, so steady-state allocation counts don't hold")
+		t.Skip("over a minute under the race detector; the allocation counts need no race check")
 	}
 	for _, row := range allocOps {
 		t.Run(row.name, func(t *testing.T) {
@@ -219,19 +219,15 @@ func TestAllocBudgets(t *testing.T) {
 	}
 }
 
-// bytesPerRun is the fewest bytes one warm call of op allocated over three
-// calls. A GC can empty the machine pool mid-call and make that call build
-// a machine the steady state reuses; the minimum measures the steady state.
+// bytesPerRun is the bytes one warm call of op allocates. The machine
+// arena keeps its machines across GCs, so a warm call builds none, and
+// calls differ by under a kilobyte.
 func bytesPerRun(op func()) float64 {
-	best := uint64(math.MaxUint64)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		op()
-		runtime.ReadMemStats(&after)
-		best = min(best, after.TotalAlloc-before.TotalAlloc)
-	}
-	return float64(best)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	op()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc)
 }
 
 // BenchmarkOps times every row of allocOps.
@@ -247,8 +243,8 @@ func BenchmarkOps(b *testing.B) {
 	}
 }
 
-// The binding-search probe rows run <AES, QUERY> at scale 0.2 and time a
-// 24-core secure cluster.
+// The search rows run <AES, QUERY> at scale 0.2; the plan row lowers it
+// for a 24-core gang.
 var probeOpts = driver.Options{Scale: 0.2}
 
 const probeCandidate = 24

@@ -1,8 +1,8 @@
 // Dynamic hardware isolation: IRONHIDE's core re-allocation. This example
-// profiles <TC, GRAPH> — whose secure triangle-counting process is
+// runs <TC, GRAPH> — whose secure triangle-counting process is
 // synchronization-bound and prefers a tiny cluster (the paper allocates it
-// just 2 secure cores) — across fixed cluster splits, then runs the
-// gradient heuristic and the exhaustive Optimal search, and shows the
+// just 2 secure cores) — at fixed cluster splits, then runs the gradient
+// heuristic and the exhaustive Optimal search, and shows the
 // secure kernel enforcing the once-per-invocation reconfiguration budget.
 //
 // Run with: go run ./examples/reconfig
@@ -16,7 +16,6 @@ import (
 	"ironhide/internal/arch"
 	"ironhide/internal/core"
 	"ironhide/internal/driver"
-	"ironhide/internal/heuristic"
 	"ironhide/internal/kernel"
 	"ironhide/internal/metrics"
 	"ironhide/internal/sim"
@@ -29,34 +28,31 @@ func main() {
 		log.Fatal("application missing from catalog")
 	}
 
-	// Profile a few fixed splits: completion as a function of the secure
+	// Run a few fixed splits: completion as a function of the secure
 	// cluster size (TC's atomics make big clusters counterproductive).
-	// One capture serves every probe.
+	// One capture serves every run and every search probe.
 	opts := driver.Options{Scale: 0.1}
 	tr, err := driver.CaptureTrace(cfg, entry.Factory, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("profiling <TC, GRAPH> across fixed secure-cluster sizes:")
-	tb := metrics.NewTable("secure cores", "profiled completion (cycles)")
-	eval := func(k int) (float64, error) {
-		return driver.ProfileTrace(cfg, core.New(32), tr, opts, k)
-	}
+	fmt.Println("running <TC, GRAPH> at fixed secure-cluster sizes:")
+	tb := metrics.NewTable("secure cores", "completion (cycles)")
 	for _, k := range []int{2, 8, 16, 32, 48, 62} {
-		v, err := eval(k)
+		res, err := driver.RunTrace(cfg, core.New(32), tr, driver.Options{Scale: opts.Scale, FixedSecureCores: k, WaiveReconfig: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		tb.Add(fmt.Sprintf("%d", k), fmt.Sprintf("%.0f", v))
+		tb.Add(fmt.Sprintf("%d", k), fmt.Sprintf("%d", res.CompletionCycles))
 	}
 	fmt.Println(tb.String())
 
 	// The gradient heuristic against the exhaustive oracle.
-	h, err := heuristic.Gradient(1, cfg.Cores()-1, cfg.Cores()/2, cfg.Cores()/4, eval)
+	h, err := driver.SearchTrace(cfg, core.New(32), tr, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	o, err := heuristic.Optimal(1, cfg.Cores()-1, 2, eval)
+	o, err := driver.SearchTrace(cfg, core.New(32), tr, driver.Options{Scale: opts.Scale, Optimal: true, OptimalStride: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func (s Stats) MissRate() float64 {
 // line is one cache line. A line is resident iff its generation stamp
 // matches the cache's current generation: invalidating the whole cache is
 // then a single generation bump instead of a multi-megabyte memclr, which
-// is what lets a pooled machine reset in O(1) per cache. A zero line
+// is what lets a recycled machine reset in O(1) per cache. A zero line
 // (gen 0) is never resident because the cache generation starts at 1 and
 // nextGen skips 0 on wrap.
 //

@@ -58,8 +58,9 @@ type Options struct {
 	// sweep yields identical results at any worker count.
 	Seed int64
 	// SearchWorkers bounds the worker pool the exhaustive Optimal search
-	// evaluates candidate bindings on (<= 1 sequential). Probes run on
-	// fresh machines and results are deterministic at any worker count.
+	// evaluates candidate bindings on (<= 1 sequential). Each probe holds
+	// its own arena machine, and results are deterministic at any worker
+	// count.
 	SearchWorkers int
 	// Interrupt, when non-nil, is polled at capture/replay round
 	// boundaries and before every search probe; a non-nil return aborts
@@ -166,12 +167,30 @@ func RunTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Option
 // runModel drives the model's way of sharing the machine: time-shared
 // (SGX-like, MI6) or space-shared (the insecure baseline, IRONHIDE).
 // fresh yields a fresh, already-scaled application instance per call:
-// profiling probes and the measured run must not share warmed state.
+// profiling probes and the measured run must not share warmed state. A
+// spatial model's binding search runs before the measured run acquires
+// its machine, so the run holds one machine at a time.
 func runModel(cfg arch.Config, model enclave.Model, fresh func() *workload.App, opts Options) (*Result, error) {
-	if model.Temporal() {
-		return runTemporal(cfg, model, fresh, opts)
+	app := fresh()
+	if err := app.Validate(); err != nil {
+		return nil, err
 	}
-	return runSpatial(cfg, model, fresh, opts)
+	var sr SearchResult
+	if !model.Temporal() {
+		var err error
+		if sr, err = chooseBinding(cfg, model, fresh, opts); err != nil {
+			return nil, err
+		}
+	}
+	m, err := AcquireMachine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer ReleaseMachine(m)
+	if model.Temporal() {
+		return runTemporal(m, model, app, opts)
+	}
+	return runSpatial(m, model, app, opts, sr)
 }
 
 // checkScale rejects using a trace at a scale other than its capture's:
@@ -195,7 +214,12 @@ func CaptureTrace(cfg arch.Config, factory AppFactory, opts Options) (*trace.Tra
 	}
 	rec := trace.NewRecorder(app, opts.scale())
 	recApp := rec.App(app)
-	m, ring, err := setup(cfg, enclave.Insecure{}, recApp)
+	m, err := AcquireMachine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer ReleaseMachine(m)
+	ring, err := setup(m, enclave.Insecure{}, recApp)
 	if err != nil {
 		return nil, err
 	}
@@ -209,9 +233,7 @@ func CaptureTrace(cfg arch.Config, factory AppFactory, opts Options) (*trace.Tra
 	// (flat L1-hit charges, no machine walk).
 	m.SetLiteExec(true)
 	p := newPipeline(m, ring, recApp, sec, ins, 0, rounds)
-	err = p.run(opts.Interrupt)
-	ReleaseMachine(m)
-	if err != nil {
+	if err := p.run(opts.Interrupt); err != nil {
 		return nil, err
 	}
 	return rec.Trace(), nil
@@ -303,8 +325,9 @@ func (a *Authority) Admit(k *kernel.Kernel, app *workload.App) error {
 // scenario engine uses to populate a shared machine with every resident
 // tenant's pages, so that cluster resizes re-home (and purge) state
 // proportional to the real co-resident footprint. Unlike setup it builds
-// no IPC ring: phase completions are measured by the replay path on fresh
-// machines, while the shared machine carries the reconfiguration costs.
+// no IPC ring: phase completions are measured by the replay path on
+// machines the driver acquires from its arena, while the shared machine
+// carries the reconfiguration costs.
 func InitTenant(m *sim.Machine, app *workload.App) error {
 	if err := app.Validate(); err != nil {
 		return err
@@ -314,21 +337,13 @@ func InitTenant(m *sim.Machine, app *workload.App) error {
 	return nil
 }
 
-// setup builds the machine, configures the model, initializes both
+// setup configures the model on a fresh machine and initializes both
 // processes and the shared IPC ring.
-func setup(cfg arch.Config, model enclave.Model, app *workload.App) (*sim.Machine, *ipc.Ring, error) {
-	m, err := AcquireMachine(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+func setup(m *sim.Machine, model enclave.Model, app *workload.App) (*ipc.Ring, error) {
 	if err := model.Configure(m); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ring, err := initApp(m, app)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, ring, nil
+	return initApp(m, app)
 }
 
 // initApp initializes both processes' address spaces and builds the IPC
@@ -391,17 +406,13 @@ func resetCores(m *sim.Machine, cores []arch.CoreID) {
 // runTemporal drives the SGX-like and MI6 models: both processes
 // time-share the whole machine, so each round is one serial pass through
 // the pipeline with the enclave entry and exit protocols between stages.
-func runTemporal(cfg arch.Config, model enclave.Model, fresh func() *workload.App, opts Options) (*Result, error) {
-	app := fresh()
-	if err := app.Validate(); err != nil {
-		return nil, err
-	}
+func runTemporal(m *sim.Machine, model enclave.Model, app *workload.App, opts Options) (*Result, error) {
 	if model.StrongIsolation() {
 		if _, err := attest(app, opts.Seed); err != nil {
 			return nil, err
 		}
 	}
-	m, ring, err := setup(cfg, model, app)
+	ring, err := setup(m, model, app)
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +421,6 @@ func runTemporal(cfg arch.Config, model enclave.Model, fresh func() *workload.Ap
 	p := newPipeline(m, ring, app, secCores, gangCores(all, app.Insecure.Threads()), app.Warmup, app.Rounds)
 	p.protocol = model
 	if err := p.run(opts.Interrupt); err != nil {
-		ReleaseMachine(m)
 		return nil, err
 	}
 	res := &Result{App: app.String(), Class: app.Class, Model: model.Name(), Rounds: app.Rounds,
@@ -421,7 +431,6 @@ func runTemporal(cfg arch.Config, model enclave.Model, fresh func() *workload.Ap
 		res.EntryExitCycles = p.charged
 	}
 	collectStats(m, res)
-	ReleaseMachine(m)
 	return res, nil
 }
 
@@ -545,32 +554,21 @@ func clusterCores(m *sim.Machine, app *workload.App, secureCores int) (sec, ins 
 	return sec, ins
 }
 
-// ProfileTrace measures a candidate binding by replaying a captured trace
-// — the payload-free probe the binding search runs; the experiment
-// harness reuses it to share one exhaustive search across Figure 8's
-// fixed-variation runs.
-func ProfileTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Options, secureCores int) (float64, error) {
-	if err := checkScale(tr, opts.scale(), "profile"); err != nil {
-		return 0, err
-	}
-	return profile(cfg, model, tr.NewApp, secureCores, opts.Interrupt)
-}
-
-// profile measures a candidate binding with a short fresh run.
-func profile(cfg arch.Config, model enclave.Model, fresh func() *workload.App, secureCores int, interrupt func() error) (float64, error) {
-	app := fresh()
+// profile measures a candidate binding with a short run of a fresh
+// application instance on a fresh machine.
+func profile(m *sim.Machine, model enclave.Model, app *workload.App, secureCores int, interrupt func() error) (float64, error) {
 	warm, rounds := profileLen(app)
 	mdl := model
 	if _, ok := model.(*core.IronHide); ok {
 		mdl = core.New(secureCores) // configure directly at the candidate
 	}
-	m, ring, err := setup(cfg, mdl, app)
+	ring, err := setup(m, mdl, app)
 	if err != nil {
 		return 0, err
 	}
 	if _, ok := mdl.(*core.IronHide); !ok {
 		// Insecure baseline: the split assigns cores only.
-		split, err := noc.NewSplit(secureCores, cfg)
+		split, err := noc.NewSplit(secureCores, m.Cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -578,9 +576,7 @@ func profile(cfg arch.Config, model enclave.Model, fresh func() *workload.App, s
 	}
 	sec, ins := clusterCores(m, app, secureCores)
 	p := newPipeline(m, ring, app, sec, ins, warm, rounds)
-	err = p.run(interrupt)
-	ReleaseMachine(m)
-	if err != nil {
+	if err := p.run(interrupt); err != nil {
 		return 0, err
 	}
 	return float64(p.completion()), nil
@@ -615,7 +611,8 @@ func SearchTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Opt
 // chooseBinding picks the secure-cluster size for a spatial run: the
 // fixed binding when Options pins one (rejected unless it leaves both
 // clusters a core), otherwise the gradient heuristic or the exhaustive
-// Optimal oracle probing candidates via profile.
+// Optimal oracle probing candidates via profile, each probe on a machine
+// of its own.
 func chooseBinding(cfg arch.Config, model enclave.Model, fresh func() *workload.App, opts Options) (SearchResult, error) {
 	lo, hi := 1, cfg.Cores()-1
 	sr := SearchResult{SecureCores: opts.FixedSecureCores, WaiveReconfig: opts.WaiveReconfig}
@@ -631,7 +628,12 @@ func chooseBinding(cfg arch.Config, model enclave.Model, fresh func() *workload.
 		if err := poll(opts.Interrupt); err != nil {
 			return 0, err
 		}
-		return profile(cfg, model, fresh, k, opts.Interrupt)
+		m, err := AcquireMachine(cfg)
+		if err != nil {
+			return 0, err
+		}
+		defer ReleaseMachine(m)
+		return profile(m, model, fresh(), k, opts.Interrupt)
 	}
 	var hres heuristic.Result
 	var err error
@@ -653,22 +655,13 @@ func chooseBinding(cfg arch.Config, model enclave.Model, fresh func() *workload.
 	return sr, nil
 }
 
-// runSpatial drives the insecure baseline and IRONHIDE.
-func runSpatial(cfg arch.Config, model enclave.Model, fresh func() *workload.App, opts Options) (*Result, error) {
-	app := fresh()
-	if err := app.Validate(); err != nil {
-		return nil, err
-	}
+// runSpatial drives the insecure baseline and IRONHIDE at the binding sr
+// chose.
+func runSpatial(m *sim.Machine, model enclave.Model, app *workload.App, opts Options, sr SearchResult) (*Result, error) {
+	cfg := m.Cfg
+	binding, waiveOverheads := sr.SecureCores, sr.WaiveReconfig
+	res := &Result{App: app.String(), Class: app.Class, Model: model.Name(), Rounds: app.Rounds, SearchProbes: sr.Probes}
 
-	sr, err := chooseBinding(cfg, model, fresh, opts)
-	if err != nil {
-		return nil, err
-	}
-	binding, probes, waiveOverheads := sr.SecureCores, sr.Probes, sr.WaiveReconfig
-
-	res := &Result{App: app.String(), Class: app.Class, Model: model.Name(), Rounds: app.Rounds, SearchProbes: probes}
-
-	var m *sim.Machine
 	var ring *ipc.Ring
 	var reconfigCycles int64
 	switch model.(type) {
@@ -680,8 +673,7 @@ func runSpatial(cfg arch.Config, model enclave.Model, fresh func() *workload.App
 		// The paper's flow: start at 32/32, then one dynamic hardware
 		// isolation event installs the heuristic's binding.
 		ih := core.New(cfg.Cores() / 2)
-		m, ring, err = setup(cfg, ih, app)
-		if err != nil {
+		if ring, err = setup(m, ih, app); err != nil {
 			return nil, err
 		}
 		if binding != cfg.Cores()/2 {
@@ -698,8 +690,7 @@ func runSpatial(cfg arch.Config, model enclave.Model, fresh func() *workload.App
 		}
 	default:
 		var err error
-		m, ring, err = setup(cfg, model, app)
-		if err != nil {
+		if ring, err = setup(m, model, app); err != nil {
 			return nil, err
 		}
 		split, err := noc.NewSplit(binding, cfg)
@@ -712,7 +703,6 @@ func runSpatial(cfg arch.Config, model enclave.Model, fresh func() *workload.App
 	sec, ins := clusterCores(m, app, binding)
 	p := newPipeline(m, ring, app, sec, ins, app.Warmup, app.Rounds)
 	if err := p.run(opts.Interrupt); err != nil {
-		ReleaseMachine(m)
 		return nil, err
 	}
 
@@ -730,7 +720,6 @@ func runSpatial(cfg arch.Config, model enclave.Model, fresh func() *workload.App
 	res.Interactions = p.interactions
 	res.SecureCores = binding
 	collectStats(m, res)
-	ReleaseMachine(m)
 	return res, nil
 }
 

@@ -2,7 +2,6 @@
 
 package driver_test
 
-// Under the race detector, sync.Pool deliberately drops recycled items at
-// random to surface reuse races, so tests that assert the machine arena's
-// allocation savings are meaningless there.
+// Under the race detector the allocation and seed-independence tests take
+// about a minute each, so they skip there.
 const raceEnabled = true

@@ -90,7 +90,7 @@ func TestTraceScaleMismatchRejected(t *testing.T) {
 	if _, err := RunTrace(cfg, core.New(32), tr, Options{Scale: 1, FixedSecureCores: 16}); err == nil {
 		t.Fatal("scale mismatch was not rejected")
 	}
-	if _, err := ProfileTrace(cfg, core.New(32), tr, Options{Scale: 1}, 16); err == nil {
-		t.Fatal("profile scale mismatch was not rejected")
+	if _, err := SearchTrace(cfg, core.New(32), tr, Options{Scale: 1}); err == nil {
+		t.Fatal("search scale mismatch was not rejected")
 	}
 }

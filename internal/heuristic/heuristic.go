@@ -81,15 +81,11 @@ func Gradient(lo, hi, start, step int, eval Evaluator) (Result, error) {
 	return Result{SecureCores: best, Completion: bestV, Probes: probes}, nil
 }
 
-// Optimal exhaustively evaluates every candidate in [lo, hi] with the
-// given stride and returns the best — the paper's overhead-free oracle.
-func Optimal(lo, hi, stride int, eval Evaluator) (Result, error) {
-	return OptimalParallel(lo, hi, stride, 1, eval)
-}
-
-// OptimalParallel is Optimal over a bounded worker pool: candidates are
-// independent fresh-machine probes, so up to `workers` of them evaluate
-// concurrently (<= 1 runs sequentially on the calling goroutine). The
+// OptimalParallel exhaustively evaluates every candidate in [lo, hi] with
+// the given stride and returns the best — the paper's overhead-free
+// oracle — over a bounded worker pool: candidates are independent
+// fresh-machine probes, so up to `workers` of them evaluate concurrently
+// (<= 1 runs sequentially on the calling goroutine). The
 // outcome is deterministic at any worker count — ties break toward the
 // smallest candidate, Probes counts every candidate, and the reported
 // error is the first failing candidate in range order. The evaluator must

@@ -49,7 +49,7 @@ func TestGradientRejectsBadRange(t *testing.T) {
 }
 
 func TestOptimalExhaustive(t *testing.T) {
-	res, err := Optimal(1, 63, 1, convex(41))
+	res, err := OptimalParallel(1, 63, 1, 1, convex(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestOptimalExhaustive(t *testing.T) {
 }
 
 func TestOptimalStride(t *testing.T) {
-	res, err := Optimal(2, 62, 2, convex(41))
+	res, err := OptimalParallel(2, 62, 2, 1, convex(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestOptimalAtLeastAsGoodAsGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := Optimal(1, 63, 1, bumpy)
+	o, err := OptimalParallel(1, 63, 1, 1, bumpy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestOptimalParallelMatchesSequential(t *testing.T) {
 		},
 	}
 	for name, eval := range evals {
-		seq, err := Optimal(1, 63, 2, eval)
+		seq, err := OptimalParallel(1, 63, 2, 1, eval)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,6 +119,10 @@ type Partition struct {
 	regionCtrl  []ControllerID
 	ctrlDomain  []arch.Domain // controller -> domain
 	controllers int
+	// byDomain lists each domain's regions in ascending order. Ownership
+	// changes only in AssignDomains and Shared, which rebuild it in place,
+	// so RegionsOf — called on every page allocation — allocates nothing.
+	byDomain [2][]int
 }
 
 // NewPartition distributes cfg.DRAMRegions regions over cfg.MemControllers
@@ -135,6 +139,10 @@ func NewPartition(cfg arch.Config) *Partition {
 	for r := range p.regionCtrl {
 		p.regionCtrl[r] = ControllerID(r % cfg.MemControllers)
 	}
+	for d := range p.byDomain {
+		p.byDomain[d] = make([]int, 0, cfg.DRAMRegions)
+	}
+	p.index()
 	return p
 }
 
@@ -166,6 +174,7 @@ func (p *Partition) AssignDomains(secureMask uint) error {
 	for r := range p.regionOwner {
 		p.regionOwner[r] = p.ctrlDomain[p.regionCtrl[r]]
 	}
+	p.index()
 	return nil
 }
 
@@ -179,6 +188,17 @@ func (p *Partition) Shared() {
 	for r := range p.regionOwner {
 		p.regionOwner[r] = arch.Insecure
 	}
+	p.index()
+}
+
+// index rebuilds byDomain from regionOwner.
+func (p *Partition) index() {
+	for d := range p.byDomain {
+		p.byDomain[d] = p.byDomain[d][:0]
+	}
+	for r, owner := range p.regionOwner {
+		p.byDomain[owner] = append(p.byDomain[owner], r)
+	}
 }
 
 // ControllerOf returns the controller serving a region.
@@ -190,16 +210,10 @@ func (p *Partition) OwnerOf(region int) arch.Domain { return p.regionOwner[regio
 // ControllerDomain returns the domain a controller is dedicated to.
 func (p *Partition) ControllerDomain(c ControllerID) arch.Domain { return p.ctrlDomain[c] }
 
-// RegionsOf lists the regions owned by a domain.
-func (p *Partition) RegionsOf(d arch.Domain) []int {
-	var out []int
-	for r, owner := range p.regionOwner {
-		if owner == d {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+// RegionsOf lists the regions owned by a domain, in ascending order. The
+// slice is the partition's own: callers must not modify it, and its
+// contents change with the next AssignDomains or Shared.
+func (p *Partition) RegionsOf(d arch.Domain) []int { return p.byDomain[d] }
 
 // Isolated reports whether the partition gives each domain disjoint,
 // non-empty controller sets — the strong-isolation requirement.

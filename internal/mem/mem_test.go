@@ -134,6 +134,47 @@ func TestPartitionShared(t *testing.T) {
 	}
 }
 
+// RegionsOf is read on every page allocation, so it must allocate
+// nothing, and the index it returns must match a full scan of the owners
+// after every kind of ownership change.
+func TestRegionsOfIndexMatchesScan(t *testing.T) {
+	p := NewPartition(arch.TileGx72())
+	check := func(step string) {
+		t.Helper()
+		for _, d := range []arch.Domain{arch.Insecure, arch.Secure} {
+			var want []int
+			for r := 0; r < p.Regions(); r++ {
+				if p.OwnerOf(r) == d {
+					want = append(want, r)
+				}
+			}
+			got := p.RegionsOf(d)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %v regions %v, scan %v", step, d, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: %v regions %v, scan %v", step, d, got, want)
+				}
+			}
+			if n := testing.AllocsPerRun(10, func() { _ = p.RegionsOf(d) }); n != 0 {
+				t.Fatalf("%s: RegionsOf(%v) made %.0f allocs", step, d, n)
+			}
+		}
+	}
+	check("new")
+	if err := p.AssignDomains(0b0011); err != nil {
+		t.Fatal(err)
+	}
+	check("assign 0b0011")
+	p.Shared()
+	check("shared")
+	if err := p.AssignDomains(0b0100); err != nil {
+		t.Fatal(err)
+	}
+	check("assign 0b0100")
+}
+
 // Property: every region's owner always matches its controller's domain
 // after any valid mask assignment — the routing invariant that keeps a
 // domain's traffic on its own controllers.

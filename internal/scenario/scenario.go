@@ -363,7 +363,7 @@ func Run(cfg arch.Config, spec Spec, opts Options) (*Report, error) {
 		return nil, err
 	}
 	// The report carries no reference to the machine, so it goes back to
-	// the driver's pool however the run ends.
+	// the driver's machine arena however the run ends.
 	defer driver.ReleaseMachine(e.m)
 	timeline := spec.Timeline
 	if len(timeline) == 0 {

@@ -154,7 +154,7 @@ type Group struct {
 //
 // Groups come from a per-machine arena: Machine.Reset rewinds a cursor and
 // subsequent NewGroup calls hand back the same Group and Ctx objects,
-// reinitialized field-for-field, so a pooled machine's steady state — a
+// reinitialized field-for-field, so a recycled machine's steady state — a
 // binding search creating a few gangs per probe — allocates nothing here.
 func (m *Machine) NewGroup(d arch.Domain, cores []arch.CoreID, start int64) *Group {
 	if len(cores) == 0 {

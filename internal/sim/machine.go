@@ -124,7 +124,7 @@ type Machine struct {
 	// Group arena: every Group (and its Ctx set) this machine has handed
 	// out, reissued in order after a Reset rewinds the cursor. NewGroup
 	// reinitializes a recycled group field-for-field, so reuse is invisible
-	// to callers; a pooled machine then serves a whole binding search
+	// to callers; a recycled machine then serves a whole binding search
 	// without allocating gangs.
 	groupArena []*Group
 	groupNext  int
@@ -201,8 +201,9 @@ func NewMachine(cfg arch.Config) (*Machine, error) {
 // any of its ~7.7 MB of cache, TLB, routing, and traffic state. Caches and
 // TLBs invalidate by generation bump (O(1) each), the route caches by the
 // shared route generation, and the page table truncates in place. The
-// driver's machine arena calls this between probes; the reset-purity test
-// gates it byte-identical to a fresh machine.
+// driver's machine arena calls this each time it hands a released machine
+// to its next owner; the reset-purity test gates it byte-identical to a
+// fresh machine.
 func (m *Machine) Reset() {
 	for i := range m.l1 {
 		m.l1[i].Reset()

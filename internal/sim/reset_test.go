@@ -110,7 +110,7 @@ func TestMachineResetPurity(t *testing.T) {
 }
 
 // Reset purity must also hold across repeated reconfigure/reset cycles on
-// one machine — the exact life of a pooled machine serving a binding
+// one machine — the exact life of a recycled machine serving a binding
 // search, where every probe reconfigures the split.
 func TestMachineResetPurityAfterReconfigure(t *testing.T) {
 	fresh, fSec, fIns := buildEquivMachine(t, 20)
