@@ -15,8 +15,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -64,8 +66,30 @@ func TestTestOnlyExports(t *testing.T) {
 	for _, name := range stdlibInterfaceMethods {
 		ifaceMethods[name] = true
 	}
-	for _, dir := range []string{".", "benchmark"} {
-		scanModule(t, dir, dir == ".", declared, used, ifaceMethods)
+	for _, p := range checkedPackages(t) {
+		noteInterfaces(p.info, ifaceMethods)
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				self := types.Object(nil)
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					self = p.info.Defs[fd.Name]
+					if p.root && fd.Name.IsExported() {
+						declared[self.(*types.Func).FullName()] = p.fset.Position(fd.Pos())
+					}
+				}
+				// A function's references to itself are not callers.
+				ast.Inspect(decl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					if fn, ok := p.info.Uses[id].(*types.Func); ok && fn != self {
+						used[fn.Origin().FullName()] = true
+					}
+					return true
+				})
+			}
+		}
 	}
 
 	found := map[string]bool{}
@@ -111,18 +135,52 @@ type listedPackage struct {
 	Standard   bool
 }
 
-// scanModule type-checks the module's own packages from source, importing
-// every dependency from the export data `go list -export` built, and
-// records the funcs they declare (when declare is set) and reference.
-func scanModule(t *testing.T, dir string, declare bool, declared map[string]token.Position, used, ifaceMethods map[string]bool) {
+// checkedPackage is one non-test package, type-checked from source.
+type checkedPackage struct {
+	path  string
+	root  bool // of the root module, not of benchmark/
+	fset  *token.FileSet
+	files []*ast.File
+	info  *types.Info
+}
+
+var (
+	checkOnce sync.Once
+	checked   []checkedPackage
+	checkErr  error
+)
+
+// checkedPackages type-checks the non-test files of every package in the
+// root module and in benchmark/ (a consumer of the root module's API), once
+// per test binary; both ratchets read the result.
+func checkedPackages(t *testing.T) []checkedPackage {
 	t.Helper()
+	checkOnce.Do(func() {
+		for _, dir := range []string{".", "benchmark"} {
+			pkgs, err := checkModule(dir)
+			if err != nil {
+				checkErr = err
+				return
+			}
+			checked = append(checked, pkgs...)
+		}
+	})
+	if checkErr != nil {
+		t.Fatal(checkErr)
+	}
+	return checked
+}
+
+// checkModule type-checks the module's own packages from source, importing
+// every dependency from the export data `go list -export` built.
+func checkModule(dir string) ([]checkedPackage, error) {
 	cmd := exec.Command("go", "list", "-export", "-deps", "-json", "./...")
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+		return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
 	}
 	var pkgs []listedPackage
 	exports := map[string]string{}
@@ -131,7 +189,7 @@ func scanModule(t *testing.T, dir string, declare bool, declared map[string]toke
 		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
 			break
 		} else if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		exports[p.ImportPath] = p.Export
 		if !p.DepOnly && !p.Standard && len(p.GoFiles) > 0 {
@@ -145,48 +203,29 @@ func scanModule(t *testing.T, dir string, declare bool, declared map[string]toke
 		}
 		return os.Open(exports[path])
 	})
+	var checkedPkgs []checkedPackage
 	for _, p := range pkgs {
 		var files []*ast.File
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 			files = append(files, f)
 		}
 		info := &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		conf := types.Config{Importer: imp}
 		if _, err := conf.Check(p.ImportPath, fset, files, info); err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
-		noteInterfaces(info, ifaceMethods)
-		for _, f := range files {
-			for _, decl := range f.Decls {
-				self := types.Object(nil)
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					self = info.Defs[fd.Name]
-					if declare && fd.Name.IsExported() {
-						declared[self.(*types.Func).FullName()] = fset.Position(fd.Pos())
-					}
-				}
-				// A function's references to itself are not callers.
-				ast.Inspect(decl, func(n ast.Node) bool {
-					id, ok := n.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					if fn, ok := info.Uses[id].(*types.Func); ok && fn != self {
-						used[fn.Origin().FullName()] = true
-					}
-					return true
-				})
-			}
-		}
+		checkedPkgs = append(checkedPkgs, checkedPackage{path: p.ImportPath, root: dir == ".", fset: fset, files: files, info: info})
 	}
+	return checkedPkgs, nil
 }
 
 // noteInterfaces records the method names of every interface the package
@@ -224,9 +263,14 @@ func methodName(full string) string {
 	return full[strings.LastIndex(full, ".")+1:]
 }
 
-// readExportsList parses the ratchet's list, rejecting unknown tags and
-// duplicates so the file stays exact.
+// readExportsList parses the exports ratchet's list.
 func readExportsList(path string) (map[string]string, error) {
+	return readTaggedList(path, exportTags)
+}
+
+// readTaggedList parses a ratchet's list of "<name> <tag>" lines,
+// rejecting unknown tags and duplicates so the file stays exact.
+func readTaggedList(path string, tags map[string]bool) (map[string]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -240,8 +284,8 @@ func readExportsList(path string) (map[string]string, error) {
 			continue
 		}
 		fields := strings.Fields(text)
-		if len(fields) != 2 || !exportTags[fields[1]] {
-			return nil, fmt.Errorf("%s:%d: want \"<name> <oracle|fake|accessor|client-api>\", got %q", path, line, text)
+		if len(fields) != 2 || !tags[fields[1]] {
+			return nil, fmt.Errorf("%s:%d: want \"<name> <%s>\", got %q", path, line, strings.Join(sortedKeys(tags), "|"), text)
 		}
 		if _, dup := listed[fields[0]]; dup {
 			return nil, fmt.Errorf("%s:%d: %s listed twice", path, line, fields[0])
@@ -258,4 +302,205 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// fieldsList pins the struct fields of the simulator's packages
+// (fieldPackages) that no production code reads. Each line is
+// "<pkg>.<Type>.<Field> <tag>" with one of these tags:
+//
+//	oracle  state that only tests read, to hold the model to
+const fieldsList = "testdata/unread_fields.txt"
+
+var fieldTags = map[string]bool{"oracle": true}
+
+// fieldPackages are the packages whose struct fields TestUnreadFields
+// covers: the simulated machine, whose state every access writes.
+var fieldPackages = []string{"arch", "cache", "tlb", "mem", "noc", "sim"}
+
+// TestUnreadFields is the ratchet that keeps the simulator's state to
+// what something reads. It finds each struct field declared in
+// fieldPackages that no non-test code of the root module or benchmark/
+// reads. A field is read when it is used other than as the target of an
+// assignment or increment, as the source of an assignment to the same
+// field of another value (summing counters into an aggregate), or as the
+// argument of clear, len or cap; writing through a pointer field reads the
+// pointer. Reads inside the test-only exports of exportsList do not
+// count. The result must equal testdata/unread_fields.txt exactly.
+func TestUnreadFields(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a static scan; the race detector adds nothing to it")
+	}
+	testOnly, err := readExportsList(exportsList)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]token.Position{}
+	read := map[string]bool{}
+	for _, p := range checkedPackages(t) {
+		if p.root && slices.Contains(fieldPackages, strings.TrimPrefix(p.path, "ironhide/internal/")) {
+			declareFields(p, declared)
+		}
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					if _, listed := testOnly[p.info.Defs[fd.Name].(*types.Func).FullName()]; listed {
+						continue
+					}
+				}
+				noteFieldReads(p.info, decl, read)
+			}
+		}
+	}
+
+	found := map[string]bool{}
+	for name := range declared {
+		if !read[name] {
+			found[name] = true
+		}
+	}
+	listed, err := readTaggedList(fieldsList, fieldTags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var problems []string
+	for _, name := range sortedKeys(found) {
+		if _, ok := listed[name]; !ok {
+			problems = append(problems, fmt.Sprintf("%s: %s is written but no production code reads it; delete it or list it with a tag", declared[name], name))
+		}
+	}
+	for _, name := range sortedKeys(listed) {
+		switch {
+		case found[name]:
+		case declared[name] == token.Position{}:
+			problems = append(problems, fmt.Sprintf("%s is listed but no longer exists; drop it from %s", name, fieldsList))
+		default:
+			problems = append(problems, fmt.Sprintf("%s is listed but production code now reads it; drop it from %s", name, fieldsList))
+		}
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+	t.Logf("%d unread fields of %d declared", len(found), len(declared))
+}
+
+// declareFields records the fields of every named struct type the package
+// declares, as "<pkg>.<Type>.<Field>".
+func declareFields(p checkedPackage, declared map[string]token.Position) {
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			spec, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := spec.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					declared[fieldName(p.path, spec.Name.Name, name.Name)] = p.fset.Position(name.Pos())
+				}
+			}
+			return true
+		})
+	}
+}
+
+// fieldName is the list's name of a field: the package path without the
+// module's internal/ prefix, the type, and the field.
+func fieldName(pkgPath, typeName, field string) string {
+	return strings.TrimPrefix(pkgPath, "ironhide/internal/") + "." + typeName + "." + field
+}
+
+// noteFieldReads records every field of a named struct type that node
+// reads.
+func noteFieldReads(info *types.Info, node ast.Node, read map[string]bool) {
+	unread := map[ast.Expr]bool{} // field selections that only write
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				markTarget(info, lhs, unread)
+				if len(n.Rhs) == len(n.Lhs) {
+					if rhs, ok := ast.Unparen(n.Rhs[i]).(*ast.SelectorExpr); ok && sameField(info, lhs, rhs) {
+						unread[rhs] = true
+					}
+				}
+			}
+		case *ast.IncDecStmt:
+			markTarget(info, n.X, unread)
+		case *ast.CallExpr:
+			if builtinCall(info, n, "clear", "len", "cap") {
+				for _, arg := range n.Args {
+					markTarget(info, arg, unread)
+				}
+			}
+		case *ast.SelectorExpr:
+			if unread[n] {
+				return true
+			}
+			sel := info.Selections[n]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return true
+			}
+			// Walk the selection's path, embedded fields included.
+			typ := sel.Recv()
+			for _, idx := range sel.Index() {
+				if ptr, ok := typ.(*types.Pointer); ok {
+					typ = ptr.Elem()
+				}
+				named, _ := typ.(*types.Named)
+				field := typ.Underlying().(*types.Struct).Field(idx)
+				if named != nil && named.Obj().Pkg() != nil {
+					read[fieldName(named.Obj().Pkg().Path(), named.Obj().Name(), field.Name())] = true
+				}
+				typ = field.Type()
+			}
+		}
+		return true
+	})
+}
+
+// markTarget marks the field selections an assignment to e writes without
+// reading: e itself and, through struct values and indexing, the fields
+// it is part of. A selection through a pointer reads the pointer.
+func markTarget(info *types.Info, e ast.Expr, unread map[ast.Expr]bool) {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.SelectorExpr:
+		sel := info.Selections[e]
+		if sel == nil || sel.Kind() != types.FieldVal {
+			return
+		}
+		unread[e] = true
+		if !sel.Indirect() {
+			markTarget(info, e.X, unread)
+		}
+	case *ast.IndexExpr:
+		markTarget(info, e.X, unread)
+	}
+}
+
+// sameField reports whether two expressions select the same field of the
+// same named struct type.
+func sameField(info *types.Info, a, b ast.Expr) bool {
+	sa, ok := ast.Unparen(a).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	sb, ok := ast.Unparen(b).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fa, fb := info.Selections[sa], info.Selections[sb]
+	return fa != nil && fb != nil && fa.Kind() == types.FieldVal && fa.Obj() == fb.Obj()
+}
+
+// builtinCall reports whether call calls one of the named builtins.
+func builtinCall(info *types.Info, call *ast.CallExpr, names ...string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && slices.Contains(names, b.Name())
 }

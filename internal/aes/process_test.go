@@ -35,21 +35,30 @@ func TestProcessEncryptsBatch(t *testing.T) {
 	ins := m.NewGroup(arch.Insecure, []arch.CoreID{60, 61}, 0)
 	sec := m.NewGroup(arch.Secure, []arch.CoreID{0, 1, 2, 3}, 0)
 	gen.Round(ins, 0)
+	var evb sim.EventBuf
+	sec.SetEventBuf(&evb)
 	p.Round(sec, 0)
 	// Each cipher block stages one line (a read and a write) and reads
 	// the S-box and a round key.
 	const blocks = 16 * 128 / BlockSize
-	var reads, writes int64
-	for i := 0; i < sec.Threads(); i++ {
-		reads += sec.Ctx(i).Reads
-		writes += sec.Ctx(i).Writes
-	}
+	reads, writes := countOps(&evb, sim.EvRead), countOps(&evb, sim.EvWrite)
 	if reads != 3*blocks || writes != blocks {
 		t.Fatalf("charged %d reads, %d writes; want %d, %d for %d blocks", reads, writes, 3*blocks, blocks, blocks)
 	}
 	if sec.MaxCycles() == 0 {
 		t.Fatal("encryption charged nothing")
 	}
+}
+
+// countOps counts the captured events with the given code.
+func countOps(evb *sim.EventBuf, code byte) int {
+	n := 0
+	for _, c := range evb.Codes {
+		if c == code {
+			n++
+		}
+	}
+	return n
 }
 
 // The process must really encrypt: its output decrypts back to the

@@ -108,7 +108,6 @@ type Config struct {
 
 	// Security-protocol constants.
 	SGXEntryExitLat  int64 // SGX-like ECALL/OCALL constant (HotCalls ~5us)
-	OSSwitchLat      int64 // ordinary (insecure) process switch cost
 	PurgeKernelLat   int64 // secure-kernel orchestration overhead per purge
 	L1FlushLineLat   int64 // per-line cost of the dummy-buffer L1 flush read
 	TLBFlushLat      int64 // flat cost of the TLB purge user command
@@ -215,8 +214,7 @@ func TileGx72() Config {
 
 		PipelineFlushLat: 200,
 
-		SGXEntryExitLat:  5_000, // 5us at 1 GHz (HotCalls upper bound)
-		OSSwitchLat:      2_000,
+		SGXEntryExitLat:  5_000,   // 5us at 1 GHz (HotCalls upper bound)
 		PurgeKernelLat:   120_000, // fences + secure-kernel orchestration
 		L1FlushLineLat:   110,     // dummy-buffer reads mostly miss to L2/DRAM
 		TLBFlushLat:      2_000,
@@ -244,7 +242,6 @@ func TileGx72Scaled(dilation int64) Config {
 		return cfg
 	}
 	cfg.SGXEntryExitLat /= dilation
-	cfg.OSSwitchLat /= dilation
 	cfg.PurgeKernelLat /= dilation
 	cfg.L1FlushLineLat = max64(1, cfg.L1FlushLineLat/dilation)
 	cfg.TLBFlushLat /= dilation

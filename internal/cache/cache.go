@@ -19,11 +19,8 @@ import (
 
 // Stats accumulates access counters for one cache.
 type Stats struct {
-	Accesses   int64
-	Misses     int64
-	Evictions  int64
-	WriteBacks int64
-	Flushes    int64 // number of FlushInvalidate operations
+	Accesses int64
+	Misses   int64
 }
 
 // MissRate returns misses/accesses, or 0 for an untouched cache.
@@ -145,11 +142,8 @@ func (c *Cache) SetIndexOf(addr arch.Addr) int {
 
 // Result describes the outcome of one access.
 type Result struct {
-	Hit            bool
-	Evicted        bool        // a valid line was displaced
-	WroteBack      bool        // the displaced line was dirty
-	VictimOwner    arch.Domain // owner of the displaced line, if any
-	VictimWasOther bool        // displaced line belonged to a different domain
+	Hit       bool
+	WroteBack bool // the access displaced a dirty line
 }
 
 // HitMRU is the inlineable fast half of Access: it performs the access
@@ -227,15 +221,7 @@ func (c *Cache) ScanAccess(addr arch.Addr, write bool, owner arch.Domain) Result
 	slot := free
 	if slot < 0 {
 		slot = victim
-		v := &set[slot]
-		res.Evicted = true
-		res.VictimOwner = arch.Domain(v.owner)
-		res.VictimWasOther = arch.Domain(v.owner) != owner
-		if v.dirty {
-			res.WroteBack = true
-			c.stats.WriteBacks++
-		}
-		c.stats.Evictions++
+		res.WroteBack = set[slot].dirty
 	}
 	set[slot] = line{tag: tag, gen: c.gen, dirty: write, owner: uint8(owner), used: c.clock}
 	c.mruOf[tag&c.setMask] = &set[slot]
@@ -300,7 +286,6 @@ func (c *Cache) Occupancy() int {
 // FlushResult reports the work a FlushInvalidate performed; the purge cost
 // model turns it into cycles.
 type FlushResult struct {
-	Lines       int // valid lines invalidated
 	WrittenBack int // dirty lines written back
 }
 
@@ -331,7 +316,6 @@ func (c *Cache) EvictLRUWays(n int) int {
 			}
 			c.lines[victim] = line{}
 			evicted++
-			c.stats.Evictions++
 		}
 	}
 	return evicted
@@ -344,17 +328,11 @@ func (c *Cache) EvictLRUWays(n int) int {
 func (c *Cache) FlushInvalidate() FlushResult {
 	var fr FlushResult
 	for i := range c.lines {
-		l := &c.lines[i]
-		if l.gen != c.gen {
-			continue
-		}
-		fr.Lines++
-		if l.dirty {
+		if l := &c.lines[i]; l.gen == c.gen && l.dirty {
 			fr.WrittenBack++
 		}
 	}
 	// Invalidate with one generation bump instead of a per-line store.
 	c.nextGen()
-	c.stats.Flushes++
 	return fr
 }

@@ -139,9 +139,6 @@ func (sa *SliceArray) AggregateStats() Stats {
 		st := s.Stats()
 		t.Accesses += st.Accesses
 		t.Misses += st.Misses
-		t.Evictions += st.Evictions
-		t.WriteBacks += st.WriteBacks
-		t.Flushes += st.Flushes
 	}
 	return t
 }

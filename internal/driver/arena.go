@@ -9,7 +9,7 @@ import (
 
 // The machine arena. A binding search runs dozens of probes, and every
 // probe needs a machine in the fresh all-shared state — but a 64-core
-// machine is ~7.7 MB of cache, TLB, routing, and traffic arrays, and
+// machine is ~7.7 MB of cache, TLB, and routing arrays, and
 // building one per probe dominates the replay path's allocation profile.
 // Machines therefore recycle through per-configuration free lists: acquire
 // pops a listed machine and Resets it (generation bumps — no memclr of the

@@ -43,6 +43,9 @@ func TestSendRecvTraffic(t *testing.T) {
 	}
 	gp := m.NewGroup(arch.Insecure, []arch.CoreID{0}, 0)
 	gc := m.NewGroup(arch.Secure, []arch.CoreID{1}, 0)
+	var sent, received sim.EventBuf
+	gp.SetEventBuf(&sent)
+	gc.SetEventBuf(&received)
 
 	if err := r.Send(gp.Ctx(0), 256); err != nil {
 		t.Fatal(err)
@@ -51,11 +54,11 @@ func TestSendRecvTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 256B = 4 lines + control line each way.
-	if gp.Ctx(0).Writes != 5 {
-		t.Fatalf("sender performed %d writes, want 5", gp.Ctx(0).Writes)
+	if n := countOps(&sent, sim.EvWrite); n != 5 {
+		t.Fatalf("sender performed %d writes, want 5", n)
 	}
-	if gc.Ctx(0).Reads != 5 {
-		t.Fatalf("receiver performed %d reads, want 5", gc.Ctx(0).Reads)
+	if n := countOps(&received, sim.EvRead); n != 5 {
+		t.Fatalf("receiver performed %d reads, want 5", n)
 	}
 	if gp.Ctx(0).Cycles() == 0 || gc.Ctx(0).Cycles() == 0 {
 		t.Fatal("IPC transfers cost nothing")
@@ -84,6 +87,8 @@ func TestRingWrapsAround(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := m.NewGroup(arch.Insecure, []arch.CoreID{0}, 0)
+	var evb sim.EventBuf
+	g.SetEventBuf(&evb)
 	for i := 0; i < 10; i++ { // 10 x 512B through a 1 KB ring
 		if err := r.Send(g.Ctx(0), 512); err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -93,8 +98,8 @@ func TestRingWrapsAround(t *testing.T) {
 		}
 	}
 	// 8 payload lines plus the control line per message.
-	if c := g.Ctx(0); c.Writes != 10*9 || c.Reads != 10*9 {
-		t.Fatalf("%d writes, %d reads; want 90 each", c.Writes, c.Reads)
+	if w, r := countOps(&evb, sim.EvWrite), countOps(&evb, sim.EvRead); w != 10*9 || r != 10*9 {
+		t.Fatalf("%d writes, %d reads; want 90 each", w, r)
 	}
 	// The cursors wrapped: every access stayed in the ring's 16 lines.
 	l1 := m.L1(0)
@@ -165,4 +170,15 @@ func TestRingCrossClusterUnderIronhideSplit(t *testing.T) {
 	if m.RouteViolations() != 0 {
 		t.Fatal("IPC crossing recorded as a route violation")
 	}
+}
+
+// countOps counts the captured events with the given code.
+func countOps(evb *sim.EventBuf, code byte) int {
+	n := 0
+	for _, c := range evb.Codes {
+		if c == code {
+			n++
+		}
+	}
+	return n
 }

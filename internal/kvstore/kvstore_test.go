@@ -104,6 +104,9 @@ func TestServerRoundServesAndCallsOS(t *testing.T) {
 
 	ig := m.NewGroup(arch.Insecure, []arch.CoreID{56, 57}, 0)
 	sg := m.NewGroup(arch.Secure, []arch.CoreID{0, 1, 2, 3}, 0)
+	var osOps, srvOps sim.EventBuf
+	ig.SetEventBuf(&osOps)
+	sg.SetEventBuf(&srvOps)
 	for r := 0; r < 5; r++ {
 		osp.Round(ig, r)
 		srv.Round(sg, r)
@@ -120,7 +123,7 @@ func TestServerRoundServesAndCallsOS(t *testing.T) {
 	}
 	// The OS served the earlier rounds' syscalls: each reads its fd entry,
 	// while request delivery only writes.
-	if reads(ig) == 0 {
+	if reads(&osOps) == 0 {
 		t.Fatal("OS serviced no syscalls")
 	}
 	// SETs stored real data, and GETs hit it: beyond one index probe per
@@ -137,16 +140,18 @@ func TestServerRoundServesAndCallsOS(t *testing.T) {
 			}
 		}
 	}
-	if reads(sg) <= 5*32 {
+	if reads(&srvOps) <= 5*32 {
 		t.Fatal("no GET hit a stored value")
 	}
 }
 
-// reads sums the group's charged memory reads.
-func reads(g *sim.Group) int64 {
-	var n int64
-	for i := 0; i < g.Threads(); i++ {
-		n += g.Ctx(i).Reads
+// reads counts the memory reads captured in evb.
+func reads(evb *sim.EventBuf) int {
+	n := 0
+	for _, c := range evb.Codes {
+		if c == sim.EvRead {
+			n++
+		}
 	}
 	return n
 }

@@ -24,11 +24,7 @@ type ControllerID int
 
 // Stats accumulates controller activity.
 type Stats struct {
-	Requests  int64
-	Stalls    int64 // requests that waited behind a full queue
-	Purges    int64
-	Drained   int64 // queue entries drained by purges
-	BusyUntil int64 // internal clock of the queue model (cycles)
+	Stalls int64 // requests that waited behind a busy controller
 }
 
 // Controller is one memory controller modeled as a single server with a
@@ -41,6 +37,7 @@ type Controller struct {
 	dramLat    int64
 	drainLat   int64
 	queued     int64 // entries currently queued (pending write-backs etc.)
+	busyUntil  int64 // the queue model's clock: when the server next idles
 	stats      Stats
 }
 
@@ -57,17 +54,15 @@ func NewController(cfg arch.Config) *Controller {
 // Stats returns a copy of the counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// ResetStats zeroes counters but keeps queue occupancy.
-func (c *Controller) ResetStats() {
-	q := c.stats.BusyUntil
-	c.stats = Stats{BusyUntil: q}
-}
+// ResetStats zeroes counters but keeps the queue model's state.
+func (c *Controller) ResetStats() { c.stats = Stats{} }
 
 // Reset restores the controller to its freshly built state: empty queue,
 // idle server, zero counters. The machine arena uses it when recycling a
 // machine between probes.
 func (c *Controller) Reset() {
 	c.queued = 0
+	c.busyUntil = 0
 	c.stats = Stats{}
 }
 
@@ -76,7 +71,7 @@ func (c *Controller) Reset() {
 // controller is busy), service occupancy, and the DRAM row access.
 // Write-backs leave an entry in the queue, which purges must drain.
 func (c *Controller) Access(now int64, write bool) int64 {
-	wait := c.stats.BusyUntil - now
+	wait := c.busyUntil - now
 	if wait < 0 {
 		wait = 0
 	} else if wait > 0 {
@@ -88,8 +83,7 @@ func (c *Controller) Access(now int64, write bool) int64 {
 	if wait > maxBacklog {
 		wait = maxBacklog
 	}
-	c.stats.Requests++
-	c.stats.BusyUntil = now + wait + c.serviceLat
+	c.busyUntil = now + wait + c.serviceLat
 	if write && c.queued < int64(c.queueDepth) {
 		c.queued++
 	}
@@ -104,8 +98,6 @@ func (c *Controller) QueueOccupancy() int64 { return c.queued }
 // back to DRAM at the drain rate.
 func (c *Controller) Purge() int64 {
 	cost := c.queued * c.drainLat
-	c.stats.Purges++
-	c.stats.Drained += c.queued
 	c.queued = 0
 	return cost
 }

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"slices"
 	"testing"
 
 	"ironhide/internal/arch"
@@ -109,44 +110,57 @@ func TestLatencyBetweenMatchesPath(t *testing.T) {
 	}
 }
 
-// RecordRoute must charge exactly the links Record(Path(...)) charges, for
-// every router pair and both orderings.
+// RecordRoute must stamp exactly the links of Path(...) and report the
+// same conflicts as stamping them one by one, for every router pair and
+// both orderings, under alternating tenants.
 func TestRecordRouteMatchesRecord(t *testing.T) {
 	cfg := arch.TileGx72()
 	coords := allCoords(cfg)
-	sameTraffic := func(a, b *Mesh) bool {
-		for _, from := range coords {
-			for _, d := range []arch.Coord{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}} {
-				to := arch.Coord{X: from.X + d.X, Y: from.Y + d.Y}
-				if a.LinkTraffic(from, to) != b.LinkTraffic(from, to) {
-					return false
+	for _, ord := range []Order{XY, YX} {
+		analytic, materialized := New(cfg), New(cfg)
+		analytic.EnableOwnerTracking()
+		materialized.EnableOwnerTracking()
+		owner := int8(1)
+		for _, src := range coords {
+			for _, dst := range coords {
+				owner = 3 - owner
+				got := analytic.RecordRoute(src, dst, ord, owner)
+				if want := recordPath(materialized, Path(src, dst, ord), owner); got != want {
+					t.Fatalf("order %v %v->%v: RecordRoute %d conflicts, Path %d", ord, src, dst, got, want)
 				}
 			}
 		}
-		return a.TotalTraffic() == b.TotalTraffic()
-	}
-	for _, ord := range []Order{XY, YX} {
-		analytic, materialized := New(cfg), New(cfg)
-		for _, src := range coords {
-			for _, dst := range coords {
-				analytic.RecordRoute(src, dst, ord)
-				materialized.Record(Path(src, dst, ord))
-			}
-		}
-		if !sameTraffic(analytic, materialized) {
-			t.Fatalf("order %v: RecordRoute and Record(Path) disagree", ord)
+		if !slices.Equal(analytic.lastUser, materialized.lastUser) {
+			t.Fatalf("order %v: RecordRoute and Path stamped different links", ord)
 		}
 	}
+}
+
+// recordPath is RecordRoute's materialized reference: it stamps the link
+// between each pair of successive routers of path.
+func recordPath(m *Mesh, path []arch.Coord, owner int8) int64 {
+	dirs := map[arch.Coord]int{{X: 1}: dirEast, {X: -1}: dirWest, {Y: 1}: dirSouth, {Y: -1}: dirNorth}
+	var conflicts int64
+	for i := 0; i+1 < len(path); i++ {
+		a, b := path[i], path[i+1]
+		li := (a.Y*m.W+a.X)*linkDirs + dirs[arch.Coord{X: b.X - a.X, Y: b.Y - a.Y}]
+		if u := m.lastUser[li]; u != 0 && u != owner {
+			conflicts++
+		}
+		m.lastUser[li] = owner
+	}
+	return conflicts
 }
 
 // RecordRoute must not allocate: it is the hot path's link accounting.
 func TestRecordRouteZeroAlloc(t *testing.T) {
 	cfg := arch.TileGx72()
 	m := New(cfg)
+	m.EnableOwnerTracking()
 	src, dst := arch.Coord{X: 0, Y: 0}, arch.Coord{X: 7, Y: 7}
 	if n := testing.AllocsPerRun(200, func() {
-		m.RecordRoute(src, dst, XY)
-		m.RecordRoute(dst, src, YX)
+		m.RecordRoute(src, dst, XY, 1)
+		m.RecordRoute(dst, src, YX, 2)
 	}); n != 0 {
 		t.Fatalf("RecordRoute allocates %.1f objects per run, want 0", n)
 	}

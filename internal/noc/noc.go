@@ -7,14 +7,16 @@
 // split between clusters. The paper therefore requires *bidirectional*
 // deterministic routing: each packet is routed X-Y or Y-X, whichever keeps
 // the whole path inside the source cluster (Section III-B2). This package
-// implements both orders, containment checking, and the route chooser, and
-// exposes per-link traffic counters used by the evaluation.
+// implements both orders, containment checking, and the route chooser.
+// Isolation is a routing decision, so the mesh keeps no traffic counters;
+// its only per-link state is the tenant stamp that space-shared
+// co-tenancy charges link contention from.
 //
 // Two equivalent APIs exist side by side. The slice-returning Path/Route
-// functions materialize routes coordinate by coordinate; tests and the
-// attack oracle use them. The analytic API (Dist, Mesh.LatencyBetween,
+// functions materialize routes coordinate by coordinate; tests use them as
+// the reference. The analytic API (Dist, Mesh.LatencyBetween,
 // Mesh.RecordRoute, Split.ChooseOrder) computes the same latencies, link
-// charges, and containment decisions in O(1) space — the simulator's
+// stamps, and containment decisions in O(1) space — the simulator's
 // access hot path runs entirely on it, allocation-free. The equivalence
 // tests prove the two produce byte-identical results for every route.
 package noc
@@ -55,52 +57,18 @@ const (
 	linkDirs
 )
 
-// dirOf returns the direction of the unit step from a to b, or -1 if the
-// routers are not mesh neighbors.
-func dirOf(a, b arch.Coord) int {
-	switch {
-	case b.Y == a.Y && b.X == a.X+1:
-		return dirEast
-	case b.Y == a.Y && b.X == a.X-1:
-		return dirWest
-	case b.X == a.X && b.Y == a.Y+1:
-		return dirSouth
-	case b.X == a.X && b.Y == a.Y-1:
-		return dirNorth
-	}
-	return -1
-}
-
-// neighbor returns the router one step from at in direction dir.
-func neighbor(at arch.Coord, dir int) arch.Coord {
-	switch dir {
-	case dirEast:
-		return arch.Coord{X: at.X + 1, Y: at.Y}
-	case dirWest:
-		return arch.Coord{X: at.X - 1, Y: at.Y}
-	case dirSouth:
-		return arch.Coord{X: at.X, Y: at.Y + 1}
-	default:
-		return arch.Coord{X: at.X, Y: at.Y - 1}
-	}
-}
-
-// Mesh is a W x H grid of routers with per-link traffic accounting. The
-// counters live in a flat [W*H*linkDirs]int64 array indexed by the dense
-// directed-link index, so charging a link is one add with no hashing and
-// no allocation.
+// Mesh is a W x H grid of routers.
 type Mesh struct {
 	W, H      int
 	hopLat    int64
 	routerLat int64
-	traffic   []int64 // dense directed-link index -> flits
 
-	// lastUser tracks, per directed link, the tenant whose packet most
-	// recently crossed it (0 = no owner yet). It backs the space-shared
-	// co-tenancy interference accounting: a route recorded under an owner
-	// counts the links it takes over from a *different* tenant. The array
-	// is allocated lazily by the first EnableOwnerTracking call, so
-	// single-tenant machines pay nothing.
+	// lastUser tracks, per directed link (dense index), the tenant whose
+	// packet most recently crossed it (0 = no owner yet). It backs the
+	// space-shared co-tenancy interference accounting: a route recorded
+	// under an owner counts the links it takes over from a *different*
+	// tenant. The array is allocated lazily by the first
+	// EnableOwnerTracking call, so single-tenant machines pay nothing.
 	lastUser []int8
 }
 
@@ -111,7 +79,6 @@ func New(cfg arch.Config) *Mesh {
 		H:         cfg.MeshHeight,
 		hopLat:    cfg.HopLat,
 		routerLat: cfg.RouterLat,
-		traffic:   make([]int64, cfg.MeshWidth*cfg.MeshHeight*linkDirs),
 	}
 }
 
@@ -208,170 +175,72 @@ func (m *Mesh) LatencyBetween(src, dst arch.Coord) int64 {
 	return m.routerLat + int64(d)*m.hopLat
 }
 
-// Record charges the path's links with one flit of traffic. Successive
-// path elements must be mesh neighbors (every dimension-ordered path is).
-func (m *Mesh) Record(path []arch.Coord) {
-	for i := 0; i+1 < len(path); i++ {
-		m.charge(path[i], dirOf(path[i], path[i+1]))
-	}
-}
-
-// RecordRoute charges the links of the dimension-ordered route from src
-// to dst under the given ordering, walking the coordinates inline. It is
-// the allocation-free equivalent of Record(Path(src, dst, order)).
-func (m *Mesh) RecordRoute(src, dst arch.Coord, order Order) {
-	at := src
-	if order == XY {
-		at = m.chargeRow(at, dst.X)
-		m.chargeCol(at, dst.Y)
-	} else {
-		at = m.chargeCol(at, dst.Y)
-		m.chargeRow(at, dst.X)
-	}
-}
-
-// chargeRow charges the horizontal links from at to (toX, at.Y) and
-// returns the corner router.
-func (m *Mesh) chargeRow(at arch.Coord, toX int) arch.Coord {
-	dir, step := dirEast, 1
-	if toX < at.X {
-		dir, step = dirWest, -1
-	}
-	for at.X != toX {
-		m.traffic[(at.Y*m.W+at.X)*linkDirs+dir]++
-		at.X += step
-	}
-	return at
-}
-
-// chargeCol charges the vertical links from at to (at.X, toY) and returns
-// the corner router.
-func (m *Mesh) chargeCol(at arch.Coord, toY int) arch.Coord {
-	dir, step := dirSouth, 1
-	if toY < at.Y {
-		dir, step = dirNorth, -1
-	}
-	for at.Y != toY {
-		m.traffic[(at.Y*m.W+at.X)*linkDirs+dir]++
-		at.Y += step
-	}
-	return at
-}
-
-// charge adds one flit to the directed link leaving from in direction dir.
-func (m *Mesh) charge(from arch.Coord, dir int) {
-	if dir < 0 {
-		panic(fmt.Sprintf("noc: link from %v is not a unit mesh step", from))
-	}
-	m.traffic[(from.Y*m.W+from.X)*linkDirs+dir]++
-}
-
-// LinkTraffic reports the flits recorded on the directed link a->b.
-// Non-adjacent router pairs carry no link and report zero.
-func (m *Mesh) LinkTraffic(a, b arch.Coord) int64 {
-	if a.X < 0 || a.X >= m.W || a.Y < 0 || a.Y >= m.H {
-		return 0
-	}
-	dir := dirOf(a, b)
-	if dir < 0 {
-		return 0
-	}
-	return m.traffic[(a.Y*m.W+a.X)*linkDirs+dir]
-}
-
-// TotalTraffic sums flits over all links.
-func (m *Mesh) TotalTraffic() int64 {
-	var t int64
-	for _, n := range m.traffic {
-		t += n
-	}
-	return t
-}
-
-// TrafficThrough sums flits on links whose endpoints fail member — i.e.,
-// traffic that drifted outside a cluster. The strong-isolation tests
-// assert this is zero for intra-cluster traffic.
-func (m *Mesh) TrafficThrough(member func(arch.Coord) bool) int64 {
-	var t int64
-	for i, n := range m.traffic {
-		if n == 0 {
-			continue
-		}
-		from := arch.Coord{X: (i / linkDirs) % m.W, Y: i / linkDirs / m.W}
-		if !member(from) || !member(neighbor(from, i%linkDirs)) {
-			t += n
-		}
-	}
-	return t
-}
-
-// ResetTraffic clears the link counters and any per-link owner state.
-func (m *Mesh) ResetTraffic() {
-	clear(m.traffic)
-	clear(m.lastUser)
-}
+// ResetOwners clears every link's owner stamp.
+func (m *Mesh) ResetOwners() { clear(m.lastUser) }
 
 // EnableOwnerTracking allocates the per-link owner array (idempotent).
-// RecordRouteOwner requires it; plain RecordRoute ignores it.
+// RecordRoute requires it.
 func (m *Mesh) EnableOwnerTracking() {
 	if m.lastUser == nil {
-		m.lastUser = make([]int8, len(m.traffic))
+		m.lastUser = make([]int8, m.W*m.H*linkDirs)
 	}
 }
 
-// RecordRouteOwner charges the links of the dimension-ordered route from
-// src to dst exactly like RecordRoute, and additionally stamps each link
-// with the owning tenant, returning how many of the route's links were
-// last used by a *different* tenant (the contention events of space-shared
-// co-tenancy). Two tenants whose routes never share a directed link can
-// never conflict, so disjoint placements provably report zero.
-func (m *Mesh) RecordRouteOwner(src, dst arch.Coord, order Order, owner int8) int64 {
+// RecordRoute stamps each link of the dimension-ordered route from src to
+// dst with the owning tenant, walking the coordinates inline, and returns
+// how many of the route's links were last used by a *different* tenant
+// (the contention events of space-shared co-tenancy). Two tenants whose
+// routes never share a directed link can never conflict, so disjoint
+// placements provably report zero.
+func (m *Mesh) RecordRoute(src, dst arch.Coord, order Order, owner int8) int64 {
 	at := src
 	var conflicts int64
 	if order == XY {
-		at, conflicts = m.chargeRowOwner(at, dst.X, owner, conflicts)
-		_, conflicts = m.chargeColOwner(at, dst.Y, owner, conflicts)
+		at, conflicts = m.stampRow(at, dst.X, owner, conflicts)
+		_, conflicts = m.stampCol(at, dst.Y, owner, conflicts)
 	} else {
-		at, conflicts = m.chargeColOwner(at, dst.Y, owner, conflicts)
-		_, conflicts = m.chargeRowOwner(at, dst.X, owner, conflicts)
+		at, conflicts = m.stampCol(at, dst.Y, owner, conflicts)
+		_, conflicts = m.stampRow(at, dst.X, owner, conflicts)
 	}
 	return conflicts
 }
 
-// chargeRowOwner is chargeRow with owner stamping and conflict counting.
-func (m *Mesh) chargeRowOwner(at arch.Coord, toX int, owner int8, conflicts int64) (arch.Coord, int64) {
+// stampRow stamps the horizontal links from at to (toX, at.Y), adds their
+// conflicts, and returns the corner router.
+func (m *Mesh) stampRow(at arch.Coord, toX int, owner int8, conflicts int64) (arch.Coord, int64) {
 	dir, step := dirEast, 1
 	if toX < at.X {
 		dir, step = dirWest, -1
 	}
 	for at.X != toX {
-		li := (at.Y*m.W+at.X)*linkDirs + dir
-		m.traffic[li]++
-		if u := m.lastUser[li]; u != 0 && u != owner {
-			conflicts++
-		}
-		m.lastUser[li] = owner
+		conflicts += m.stamp((at.Y*m.W+at.X)*linkDirs+dir, owner)
 		at.X += step
 	}
 	return at, conflicts
 }
 
-// chargeColOwner is chargeCol with owner stamping and conflict counting.
-func (m *Mesh) chargeColOwner(at arch.Coord, toY int, owner int8, conflicts int64) (arch.Coord, int64) {
+// stampCol stamps the vertical links from at to (at.X, toY), adds their
+// conflicts, and returns the corner router.
+func (m *Mesh) stampCol(at arch.Coord, toY int, owner int8, conflicts int64) (arch.Coord, int64) {
 	dir, step := dirSouth, 1
 	if toY < at.Y {
 		dir, step = dirNorth, -1
 	}
 	for at.Y != toY {
-		li := (at.Y*m.W+at.X)*linkDirs + dir
-		m.traffic[li]++
-		if u := m.lastUser[li]; u != 0 && u != owner {
-			conflicts++
-		}
-		m.lastUser[li] = owner
+		conflicts += m.stamp((at.Y*m.W+at.X)*linkDirs+dir, owner)
 		at.Y += step
 	}
 	return at, conflicts
+}
+
+// stamp marks link li as owner's and reports 1 if another tenant held it.
+func (m *Mesh) stamp(li int, owner int8) int64 {
+	u := m.lastUser[li]
+	m.lastUser[li] = owner
+	if u != 0 && u != owner {
+		return 1
+	}
+	return 0
 }
 
 func sign(x int) int {

@@ -65,20 +65,29 @@ func TestLatency(t *testing.T) {
 	}
 }
 
+// A route conflicts on each directed link another tenant crossed last,
+// and ResetOwners forgets every stamp.
 func TestTrafficAccounting(t *testing.T) {
 	m := New(arch.TileGx72())
-	p := Path(xy(0, 0), xy(2, 0), XY)
-	m.Record(p)
-	m.Record(p)
-	if got := m.LinkTraffic(xy(0, 0), xy(1, 0)); got != 2 {
-		t.Fatalf("link traffic = %d, want 2", got)
+	m.EnableOwnerTracking()
+	for _, step := range []struct {
+		src, dst arch.Coord
+		owner    int8
+		want     int64
+	}{
+		{xy(0, 0), xy(2, 0), 1, 0}, // unowned links
+		{xy(0, 0), xy(2, 0), 1, 0}, // its own links
+		{xy(1, 0), xy(3, 0), 2, 1}, // takes over (1,0)->(2,0)
+		{xy(2, 0), xy(0, 0), 2, 0}, // the opposite links are others
+		{xy(0, 0), xy(3, 0), 1, 2}, // takes back (1,0)->(2,0), takes (2,0)->(3,0)
+	} {
+		if got := m.RecordRoute(step.src, step.dst, XY, step.owner); got != step.want {
+			t.Fatalf("tenant %d %v->%v: %d conflicts, want %d", step.owner, step.src, step.dst, got, step.want)
+		}
 	}
-	if got := m.TotalTraffic(); got != 4 {
-		t.Fatalf("total traffic = %d, want 4", got)
-	}
-	m.ResetTraffic()
-	if m.TotalTraffic() != 0 {
-		t.Fatal("traffic survived reset")
+	m.ResetOwners()
+	if got := m.RecordRoute(xy(3, 0), xy(0, 0), XY, 2); got != 0 {
+		t.Fatalf("%d conflicts after ResetOwners, want 0", got)
 	}
 }
 
@@ -169,25 +178,56 @@ func TestRoutingContainmentQuick(t *testing.T) {
 	}
 }
 
+// The owner stamps show where a cluster's traffic went: a drifting route
+// stamps links outside the cluster, the chosen route none.
 func TestTrafficThroughDetectsDrift(t *testing.T) {
 	cfg := arch.TileGx72()
 	m := New(cfg)
+	m.EnableOwnerTracking()
 	split, _ := NewSplit(4, cfg)
 	member := split.Member(InsecureCluster)
-	// Record a deliberately bad path (X-Y drift through the secure prefix).
-	m.Record(Path(cfg.CoordOf(7), cfg.CoordOf(8), XY))
-	if m.TrafficThrough(member) == 0 {
+	src, dst := cfg.CoordOf(7), cfg.CoordOf(8)
+	// A deliberately bad route: X-Y drifts through the secure prefix.
+	m.RecordRoute(src, dst, XY, 1)
+	if stampedOutside(m, member) == 0 {
 		t.Fatal("drifting traffic not detected")
 	}
-	m.ResetTraffic()
-	p, _, err := Route(cfg.CoordOf(7), cfg.CoordOf(8), member)
+	m.ResetOwners()
+	_, ord, err := Route(src, dst, member)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Record(p)
-	if m.TrafficThrough(member) != 0 {
-		t.Fatal("contained route still counted as drift")
+	m.RecordRoute(src, dst, ord, 1)
+	if n := stampedOutside(m, member); n != 0 {
+		t.Fatalf("contained route stamped %d links outside its cluster", n)
 	}
+}
+
+// stampedOutside counts the stamped directed links with an endpoint
+// outside member.
+func stampedOutside(m *Mesh, member func(arch.Coord) bool) int {
+	n := 0
+	for li, owner := range m.lastUser {
+		if owner == 0 {
+			continue
+		}
+		from := arch.Coord{X: li / linkDirs % m.W, Y: li / linkDirs / m.W}
+		to := from
+		switch li % linkDirs {
+		case dirEast:
+			to.X++
+		case dirWest:
+			to.X--
+		case dirSouth:
+			to.Y++
+		case dirNorth:
+			to.Y--
+		}
+		if !member(from) || !member(to) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestOrderString(t *testing.T) {

@@ -59,9 +59,6 @@ type Ctx struct {
 	Core   arch.CoreID
 	Domain arch.Domain
 	cycles int64
-
-	Reads  int64
-	Writes int64
 }
 
 // Cycles returns the thread's logical clock.
@@ -86,7 +83,6 @@ func (c *Ctx) Read(addr arch.Addr) {
 // read charges the load without capturing (Atomic captures itself as one
 // composite operation).
 func (c *Ctx) read(addr arch.Addr) {
-	c.Reads++
 	if c.m.liteExec {
 		c.cycles += c.m.Cfg.L1HitLat
 		return
@@ -104,7 +100,6 @@ func (c *Ctx) Write(addr arch.Addr) {
 
 // write charges the store without capturing.
 func (c *Ctx) write(addr arch.Addr) {
-	c.Writes++
 	if c.m.liteExec {
 		c.cycles += c.m.Cfg.L1HitLat
 		return
@@ -212,8 +207,7 @@ func (g *Group) AddrOffset() arch.Addr { return g.addrOff }
 
 // Restart rewinds every thread clock to start for a new execution phase,
 // reusing the gang's contexts. The driver recycles two gangs across all of
-// a run's rounds instead of allocating fresh Ctx sets per round; thread
-// Reads/Writes counters keep accumulating.
+// a run's rounds instead of allocating fresh Ctx sets per round.
 func (g *Group) Restart(start int64) {
 	g.start = start
 	for _, c := range g.ctxs {
@@ -309,60 +303,38 @@ func (g *Group) Seq(body func(c *Ctx)) {
 
 // ReplayRun charges a pre-lowered run of same-thread operations — parallel
 // code/argument arrays holding only EvCompute/EvRead/EvWrite/EvAtomic —
-// through thread tid. This is the batch replay kernel: thread state
-// (clock, counters) is held in locals across the run and the per-op Ctx
-// dispatch, capture checks, and marker interpretation of the generic path
-// all disappear. The replay-plan lowering in the trace package guarantees
-// the semantics match the per-op path exactly: thread switches and
-// barriers only ever occur between runs.
+// through thread tid. This is the batch replay kernel: the thread clock is
+// held in a local across the run and the per-op Ctx dispatch, capture
+// checks, and marker interpretation of the generic path all disappear. The
+// replay-plan lowering in the trace package guarantees the semantics match
+// the per-op path exactly: thread switches and barriers only ever occur
+// between runs. It never captures and never runs in lite-exec mode: the
+// trace replayer sends a capturing gang down the per-op path, and lite
+// execution serves only the live capture of a catalog app.
 func (g *Group) ReplayRun(tid int, codes []byte, args []int64) {
 	c := g.ctxs[tid]
 	off := g.addrOff
-	if g.evb != nil || c.m.liteExec {
-		// Recording a replay (re-capture) and lite execution both need the
-		// per-op path's bookkeeping; neither is replay-throughput critical.
-		for j, code := range codes {
-			switch code {
-			case EvCompute:
-				c.Compute(args[j])
-			case EvRead:
-				c.Read(arch.Addr(args[j]) + off)
-			case EvWrite:
-				c.Write(arch.Addr(args[j]) + off)
-			case EvAtomic:
-				c.Atomic(arch.Addr(args[j]) + off)
-			}
-		}
-		return
-	}
 	m := c.m
 	core := c.Core
 	d := c.Domain
 	cycles := c.cycles
-	var reads, writes int64
 	contention := int64(len(g.ctxs)-1) * m.Cfg.AtomicContention
 	for j, code := range codes {
 		switch code {
 		case EvRead:
-			reads++
 			cycles += m.Access(core, arch.Addr(args[j])+off, false, d, cycles)
 		case EvWrite:
-			writes++
 			cycles += m.Access(core, arch.Addr(args[j])+off, true, d, cycles)
 		case EvCompute:
 			cycles += args[j]
 		case EvAtomic:
 			a := arch.Addr(args[j]) + off
-			reads++
-			writes++
 			cycles += m.Access(core, a, false, d, cycles)
 			cycles += m.Access(core, a, true, d, cycles)
 			cycles += contention
 		}
 	}
 	c.cycles = cycles
-	c.Reads += reads
-	c.Writes += writes
 }
 
 // String summarizes the gang.

@@ -311,11 +311,17 @@ func TestReadsWritesCounted(t *testing.T) {
 	m := newTestMachine(t)
 	buf := m.NewSpace("p", arch.Insecure).Alloc("a", 4096)
 	g := m.NewGroup(arch.Insecure, cores(0), 0)
+	var evb EventBuf
+	g.SetEventBuf(&evb)
 	c := g.Ctx(0)
 	c.Read(buf.Addr(0))
 	c.Read(buf.Addr(64))
 	c.Write(buf.Addr(128))
-	if c.Reads != 2 || c.Writes != 1 {
-		t.Fatalf("counted %d reads / %d writes", c.Reads, c.Writes)
+	if got := formatEvents(&evb); !reflect.DeepEqual(got, []string{"read:0", "read:64", "write:128"}) {
+		t.Fatalf("captured %v", got)
+	}
+	// Each of the three reached the machine.
+	if st := m.L1(0).Stats(); st.Accesses != 3 || st.Misses != 3 {
+		t.Fatalf("L1 saw %d accesses, %d misses; want 3, 3", st.Accesses, st.Misses)
 	}
 }

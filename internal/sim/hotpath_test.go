@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"ironhide/internal/arch"
@@ -94,22 +93,33 @@ func driveEquiv(m *Machine, secBuf, insBuf Buffer) []int64 {
 }
 
 // The analytic routing helpers on the access hot path must match their
-// slice-materializing references call for call — latency, every per-link
-// traffic counter, and the route-violation count — for every (src, dst,
+// slice-materializing references call for call — latency including link
+// contention, and the route-violation count — for every (src, dst,
 // accessor, owner) core-to-slice route and every (slice, controller,
-// owner) slice-to-controller route. One pair of twin machines walks a
-// sequence of splits, so every SetSplit must invalidate the analytic route
-// caches (routeGen) that the previous split filled; one split runs without
-// routing isolation.
+// owner) slice-to-controller route. The calls cycle through tenant ids 0,
+// 1 and 2, so each tracked call's conflicts depend on which links the
+// earlier calls stamped: a route that takes other links than its
+// reference shows up as a latency difference. One pair of twin machines
+// walks a sequence of splits, so every SetSplit must invalidate the
+// analytic route caches (routeGen) that the previous split filled; one
+// split runs without routing isolation.
 func TestAnalyticAccessMatchesMaterialized(t *testing.T) {
 	cfg := arch.TileGx72()
 	fast, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fast.SetTenantCores(1, nil)
+	fast.SetTenantCores(2, nil)
 	ref, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	stamps := linkStamps{}
+	calls := 0
+	nextTenant := func() int8 {
+		calls++
+		return int8(calls % 3)
 	}
 	domains := []arch.Domain{arch.Secure, arch.Insecure}
 	steps := []struct {
@@ -129,59 +139,64 @@ func TestAnalyticAccessMatchesMaterialized(t *testing.T) {
 				dst := cfg.CoordOf(arch.CoreID(d))
 				for _, acc := range domains {
 					for _, own := range domains {
-						got := fast.routeLat(src, dst, acc, own, 0)
-						want := ref.routeLatMaterialized(src, dst, acc, own)
+						tid := nextTenant()
+						got := fast.routeLat(src, dst, acc, own, tid)
+						want := ref.routeLatMaterialized(src, dst, acc, own, stamps, tid)
 						if got != want || fast.RouteViolations() != ref.RouteViolations() {
-							t.Fatalf("split %d isolate %v route %v->%v (%v on %v page): latency %d, %d violations; reference %d, %d",
-								st.secure, st.isolate, src, dst, acc, own, got, fast.RouteViolations(), want, ref.RouteViolations())
+							t.Fatalf("split %d isolate %v route %v->%v (%v on %v page, tenant %d): latency %d, %d violations; reference %d, %d",
+								st.secure, st.isolate, src, dst, acc, own, tid, got, fast.RouteViolations(), want, ref.RouteViolations())
 						}
 					}
 				}
 			}
-			requireSameLinkTraffic(t, fast, ref, fmt.Sprintf("split %d isolate %v after routes from %v", st.secure, st.isolate, src))
 		}
 		for s := 0; s < cfg.Cores(); s++ {
 			from := cfg.CoordOf(arch.CoreID(s))
 			for mc := 0; mc < cfg.MemControllers; mc++ {
 				for _, own := range domains {
-					got := fast.edgeRouteLat(from, mem.ControllerID(mc), own, 0)
-					want := ref.edgeRouteLatMaterialized(from, mem.ControllerID(mc), own)
+					tid := nextTenant()
+					got := fast.edgeRouteLat(from, mem.ControllerID(mc), own, tid)
+					want := ref.edgeRouteLatMaterialized(from, mem.ControllerID(mc), own, stamps, tid)
 					if got != want || fast.RouteViolations() != ref.RouteViolations() {
-						t.Fatalf("split %d isolate %v slice %v -> MC %d (%v page): latency %d, %d violations; reference %d, %d",
-							st.secure, st.isolate, from, mc, own, got, fast.RouteViolations(), want, ref.RouteViolations())
+						t.Fatalf("split %d isolate %v slice %v -> MC %d (%v page, tenant %d): latency %d, %d violations; reference %d, %d",
+							st.secure, st.isolate, from, mc, own, tid, got, fast.RouteViolations(), want, ref.RouteViolations())
 					}
 				}
 			}
 		}
-		requireSameLinkTraffic(t, fast, ref, fmt.Sprintf("split %d isolate %v after edge routes", st.secure, st.isolate))
 	}
 	if fast.RouteViolations() == 0 {
 		t.Fatal("no split produced a route violation; the violation accounting went unchecked")
 	}
+	if fast.TenantConflicts(1) == 0 || fast.TenantConflicts(2) == 0 {
+		t.Fatal("a tenant never conflicted; the link stamps went unchecked")
+	}
 }
 
-// requireSameLinkTraffic fails unless both meshes carry identical traffic
-// on every directed link.
-func requireSameLinkTraffic(t *testing.T, fast, ref *Machine, at string) {
-	t.Helper()
-	cfg := fast.Cfg
-	for c := 0; c < cfg.Cores(); c++ {
-		from := cfg.CoordOf(arch.CoreID(c))
-		for _, d := range []arch.Coord{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}} {
-			to := arch.Coord{X: from.X + d.X, Y: from.Y + d.Y}
-			if got, want := fast.Mesh.LinkTraffic(from, to), ref.Mesh.LinkTraffic(from, to); got != want {
-				t.Fatalf("%s: link %v->%v traffic %d, reference %d", at, from, to, got, want)
-			}
+// linkStamps is the reference's own per-link owner record, keyed by the
+// directed link (from, to).
+type linkStamps map[[2]arch.Coord]int8
+
+// contend stamps path's links with tid and returns the link-contention
+// cycles of the links another tenant crossed last; tid 0 stamps nothing.
+func (s linkStamps) contend(path []arch.Coord, tid int8, cfg arch.Config) int64 {
+	if tid == 0 {
+		return 0
+	}
+	var conflicts int64
+	for i := 0; i+1 < len(path); i++ {
+		link := [2]arch.Coord{path[i], path[i+1]}
+		if u := s[link]; u != 0 && u != tid {
+			conflicts++
 		}
+		s[link] = tid
 	}
-	if got, want := fast.Mesh.TotalTraffic(), ref.Mesh.TotalTraffic(); got != want {
-		t.Fatalf("%s: total traffic %d, reference %d", at, got, want)
-	}
+	return conflicts * cfg.LinkContentionLat
 }
 
 // routeLatMaterialized is the slice-materializing reference for routeLat,
 // the oracle TestAnalyticAccessMatchesMaterialized holds it to.
-func (m *Machine) routeLatMaterialized(src, dst arch.Coord, accessor, owner arch.Domain) int64 {
+func (m *Machine) routeLatMaterialized(src, dst arch.Coord, accessor, owner arch.Domain, stamps linkStamps, tid int8) int64 {
 	var path []arch.Coord
 	if m.routingIsolated && accessor == owner {
 		cl := m.split.ClusterOf(m.Cfg.CoreAt(src))
@@ -194,14 +209,13 @@ func (m *Machine) routeLatMaterialized(src, dst arch.Coord, accessor, owner arch
 	} else {
 		path = noc.Path(src, dst, noc.XY)
 	}
-	m.Mesh.Record(path)
-	return m.Mesh.Latency(path)
+	return m.Mesh.Latency(path) + stamps.contend(path, tid, m.Cfg)
 }
 
 // edgeRouteLatMaterialized is the slice-materializing reference for
 // edgeRouteLat, the oracle TestAnalyticAccessMatchesMaterialized holds it
 // to.
-func (m *Machine) edgeRouteLatMaterialized(from arch.Coord, mcID mem.ControllerID, owner arch.Domain) int64 {
+func (m *Machine) edgeRouteLatMaterialized(from arch.Coord, mcID mem.ControllerID, owner arch.Domain, stamps linkStamps, tid int8) int64 {
 	attach := m.mcAttach[mcID]
 	proxy := attach
 	if m.routingIsolated {
@@ -222,9 +236,8 @@ func (m *Machine) edgeRouteLatMaterialized(from arch.Coord, mcID mem.ControllerI
 	} else {
 		path = noc.Path(from, proxy, noc.XY)
 	}
-	m.Mesh.Record(path)
 	edgeHops := int64(noc.Dist(attach, proxy) + 1)
-	return m.Mesh.Latency(path) + edgeHops*m.Cfg.HopLat
+	return m.Mesh.Latency(path) + edgeHops*m.Cfg.HopLat + stamps.contend(path, tid, m.Cfg)
 }
 
 // The route-decision cache must not survive a SetSplit: decisions that
@@ -237,20 +250,44 @@ func TestRouteCacheInvalidatedOnSetSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetSplit(split, true)
-	m.Mesh.ResetTraffic()
-	// Secure pages are still homed on slices 0..11, all inside the new
-	// 20-core secure cluster; fresh decisions must keep traffic contained.
+	// Track the secure cluster as one tenant so its packets stamp their
+	// links (one tenant never conflicts, so no latency changes). Secure
+	// pages are still homed on slices 0..11, all inside the new 20-core
+	// secure cluster; fresh decisions must keep traffic contained.
+	m.SetTenantCores(1, split.Cores(noc.SecureCluster))
 	for _, core := range split.Cores(noc.SecureCluster) {
 		for off := 0; off < secBuf.Size; off += m.Cfg.PageSize {
 			m.Access(core, secBuf.Addr(off), true, arch.Secure, 0)
 		}
 	}
-	if drift := m.Mesh.TrafficThrough(split.Member(noc.SecureCluster)); drift != 0 {
-		t.Fatalf("stale route decisions drifted %d flits across the new boundary", drift)
+	if drift := driftedLinks(m, split.Member(noc.SecureCluster)); drift != 0 {
+		t.Fatalf("stale route decisions drifted over %d links across the new boundary", drift)
 	}
 	if m.RouteViolations() != 0 {
 		t.Fatalf("%d route violations after resplit", m.RouteViolations())
 	}
+}
+
+// driftedLinks counts the directed mesh links with an endpoint outside
+// member that a tracked tenant's packet crossed. It probes each such link
+// with a one-hop route under tenant 127, which no core holds: the probe
+// conflicts exactly when another tenant stamped the link.
+func driftedLinks(m *Machine, member func(arch.Coord) bool) int64 {
+	const probe = 127
+	var n int64
+	for c := 0; c < m.Cfg.Cores(); c++ {
+		from := m.Cfg.CoordOf(arch.CoreID(c))
+		for _, d := range []arch.Coord{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}} {
+			to := arch.Coord{X: from.X + d.X, Y: from.Y + d.Y}
+			if to.X < 0 || to.X >= m.Cfg.MeshWidth || to.Y < 0 || to.Y >= m.Cfg.MeshHeight {
+				continue
+			}
+			if !member(from) || !member(to) {
+				n += m.Mesh.RecordRoute(from, to, noc.XY, probe)
+			}
+		}
+	}
+	return n
 }
 
 // The steady-state access hot path must not allocate: one L1 hit, one

@@ -198,12 +198,12 @@ func NewMachine(cfg arch.Config) (*Machine, error) {
 
 // Reset restores the machine to its freshly built state — the insecure
 // baseline's all-shared view NewMachine constructs — without reallocating
-// any of its ~7.7 MB of cache, TLB, routing, and traffic state. Caches and
-// TLBs invalidate by generation bump (O(1) each), the route caches by the
-// shared route generation, and the page table truncates in place. The
-// driver's machine arena calls this each time it hands a released machine
-// to its next owner; the reset-purity test gates it byte-identical to a
-// fresh machine.
+// any of its ~7.7 MB of cache, TLB, and routing state. Caches and TLBs
+// invalidate by generation bump (O(1) each), the route caches by the
+// shared route generation, the mesh's link owner stamps clear, and the
+// page table truncates in place. The driver's machine arena calls this
+// each time it hands a released machine to its next owner; the
+// reset-purity test gates it byte-identical to a fresh machine.
 func (m *Machine) Reset() {
 	for i := range m.l1 {
 		m.l1[i].Reset()
@@ -213,7 +213,7 @@ func (m *Machine) Reset() {
 	for _, c := range m.mcs {
 		c.Reset()
 	}
-	m.Mesh.ResetTraffic()
+	m.Mesh.ResetOwners()
 	m.Part.Shared()
 	m.specCheck = false
 	m.pages = m.pages[:0]
@@ -365,8 +365,8 @@ func (m *Machine) PageOf(addr arch.Addr) (domain arch.Domain, region int, home c
 
 // Access performs one memory reference by domain d from the given core at
 // logical time now, returning the observed latency in cycles. The
-// reference updates TLB, L1, home L2 slice, network traffic, and memory
-// controller state along the way.
+// reference updates TLB, L1, home L2 slice, and memory controller state
+// along the way, and a tracked tenant's link stamps.
 func (m *Machine) Access(core arch.CoreID, addr arch.Addr, write bool, d arch.Domain, now int64) int64 {
 	pn := uint64(addr) >> m.pageShift
 	if pn >= uint64(len(m.pages)) || m.pages[pn].retired {
@@ -430,14 +430,15 @@ func (m *Machine) Access(core arch.CoreID, addr arch.Addr, write bool, d arch.Do
 	return lat
 }
 
-// routeLat computes one-way latency from src to dst and records traffic.
-// When routing isolation is active and both endpoints belong to the same
-// cluster, the bidirectional X-Y/Y-X chooser keeps the path contained;
-// cross-cluster packets (accessor domain != page domain) use plain X-Y.
-// The decision comes from the route cache; latency and link charging are
-// analytic, so the steady-state path allocates nothing. A tracked tenant
-// (tid != 0) additionally pays the link-contention penalty for every link
-// it takes over from a different co-resident tenant.
+// routeLat computes one-way latency from src to dst. When routing
+// isolation is active and both endpoints belong to the same cluster, the
+// bidirectional X-Y/Y-X chooser keeps the path contained (an uncontainable
+// route counts a violation); cross-cluster packets (accessor domain !=
+// page domain) use plain X-Y. The decision comes from the route cache and
+// latency is analytic, so the steady-state path allocates nothing. Only a
+// tracked tenant (tid != 0) walks the route's links: it stamps them and
+// pays the link-contention penalty for every link it takes over from a
+// different co-resident tenant.
 func (m *Machine) routeLat(src, dst arch.Coord, accessor, owner arch.Domain, tid int8) int64 {
 	order := noc.XY
 	if m.routingIsolated && accessor == owner {
@@ -453,16 +454,18 @@ func (m *Machine) routeLat(src, dst arch.Coord, accessor, owner arch.Domain, tid
 			m.routeViolations++
 		}
 	}
-	if tid != 0 {
-		lat := m.Mesh.LatencyBetween(src, dst)
-		if conflicts := m.Mesh.RecordRouteOwner(src, dst, order, tid); conflicts != 0 {
-			m.tenantConflicts[tid] += conflicts
-			lat += conflicts * m.Cfg.LinkContentionLat
-		}
-		return lat
+	return m.Mesh.LatencyBetween(src, dst) + m.contend(src, dst, order, tid)
+}
+
+// contend stamps a tracked tenant's route and returns its link-contention
+// cycles; untracked traffic (tid 0) touches no link.
+func (m *Machine) contend(src, dst arch.Coord, order noc.Order, tid int8) int64 {
+	if tid == 0 {
+		return 0
 	}
-	m.Mesh.RecordRoute(src, dst, order)
-	return m.Mesh.LatencyBetween(src, dst)
+	conflicts := m.Mesh.RecordRoute(src, dst, order, tid)
+	m.tenantConflicts[tid] += conflicts
+	return conflicts * m.Cfg.LinkContentionLat
 }
 
 // edgeRouteLat computes one-way latency from an L2 slice to a memory
@@ -479,16 +482,7 @@ func (m *Machine) edgeRouteLat(from arch.Coord, mcID mem.ControllerID, owner arc
 	if e.violated {
 		m.routeViolations++
 	}
-	if tid != 0 {
-		lat := m.Mesh.LatencyBetween(from, e.proxy) + e.edgeLat
-		if conflicts := m.Mesh.RecordRouteOwner(from, e.proxy, e.order, tid); conflicts != 0 {
-			m.tenantConflicts[tid] += conflicts
-			lat += conflicts * m.Cfg.LinkContentionLat
-		}
-		return lat
-	}
-	m.Mesh.RecordRoute(from, e.proxy, e.order)
-	return m.Mesh.LatencyBetween(from, e.proxy) + e.edgeLat
+	return m.Mesh.LatencyBetween(from, e.proxy) + e.edgeLat + m.contend(from, e.proxy, e.order, tid)
 }
 
 // decideEdgeRoute computes one slice-to-controller routing decision under

@@ -120,9 +120,8 @@ func (m *Machine) RetirePages(lo, hi uint64) {
 
 // RehomeResult summarizes a dynamic-hardware-isolation page migration.
 type RehomeResult struct {
-	PagesMoved  int
-	SlicesMoved int
-	Cycles      int64
+	PagesMoved int
+	Cycles     int64
 }
 
 // RehomeDomainPages migrates every page of domain d whose home slice is no
@@ -163,7 +162,6 @@ func (m *Machine) RehomeDomainPages(d arch.Domain) (RehomeResult, error) {
 	}
 	for s := range vacated {
 		m.l2.Slice(s).FlushInvalidate()
-		res.SlicesMoved++
 	}
 	return res, nil
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // equivSignature collects every behavior-bearing observable of an
-// equivalence run: per-access latencies, cache and mesh counters, TLB
-// residency by owner, and the check counters. Two machines are behaviorally identical iff their
-// signatures match.
+// equivalence run: per-access latencies, cache counters, TLB residency by
+// owner, the two tracked tenants' link conflicts, and the check counters.
+// Two machines are behaviorally identical iff their signatures match.
 type equivSignature struct {
 	lats       []int64
 	l1Acc      []int64
@@ -20,7 +20,7 @@ type equivSignature struct {
 	tlbIns     []int
 	l2Acc      []int64
 	l2Miss     []int64
-	traffic    int64
+	conflicts  [2]int64
 	violations int64
 	blocked    int64
 }
@@ -28,7 +28,7 @@ type equivSignature struct {
 func signatureOf(m *Machine, lats []int64) equivSignature {
 	sig := equivSignature{
 		lats:       lats,
-		traffic:    m.Mesh.TotalTraffic(),
+		conflicts:  [2]int64{m.TenantConflicts(1), m.TenantConflicts(2)},
 		violations: m.RouteViolations(),
 		blocked:    m.BlockedAccesses(),
 	}
@@ -69,8 +69,8 @@ func compareSignatures(t *testing.T, want, got equivSignature) {
 				i, want.l2Acc[i], want.l2Miss[i], got.l2Acc[i], got.l2Miss[i])
 		}
 	}
-	if want.traffic != got.traffic {
-		t.Fatalf("mesh traffic diverged: fresh %d, reset %d", want.traffic, got.traffic)
+	if want.conflicts != got.conflicts {
+		t.Fatalf("tenant link conflicts diverged: fresh %v, reset %v", want.conflicts, got.conflicts)
 	}
 	if want.violations != got.violations {
 		t.Fatalf("route violations diverged: fresh %d, reset %d", want.violations, got.violations)
@@ -80,29 +80,48 @@ func compareSignatures(t *testing.T, want, got equivSignature) {
 	}
 }
 
+// trackTwoTenants splits the cores into two co-tenants, even and odd, so
+// an equivalence run stamps mesh links and charges link conflicts.
+func trackTwoTenants(m *Machine) {
+	var even, odd []arch.CoreID
+	for _, c := range m.AllCores() {
+		if c%2 == 0 {
+			even = append(even, c)
+		} else {
+			odd = append(odd, c)
+		}
+	}
+	m.SetTenantCores(1, even)
+	m.SetTenantCores(2, odd)
+}
+
 // Machine.Reset purity: a reset machine must be behaviorally
 // indistinguishable from a freshly built one — per-access latencies and
 // every counter — even when the machine was first dirtied under a
-// *different* configuration. This is what lets the driver's arena recycle
+// *different* configuration. Both runs track two co-tenants, so a link
+// owner stamp that survived Reset would change the conflicts. This is what lets the driver's arena recycle
 // machines across probes without leaking residue between them (the
 // machine-level echo of PR 5's reconfiguration-residue security result).
 func TestMachineResetPurity(t *testing.T) {
 	for _, dirtySecure := range []int{12, 48} {
 		// Reference: fresh machine configured for a 32-core secure cluster.
 		fresh, fSec, fIns := buildEquivMachine(t, 32)
+		trackTwoTenants(fresh)
 		want := signatureOf(fresh, driveEquiv(fresh, fSec, fIns))
 
 		// Candidate: dirty a machine under another split (pages, caches,
-		// TLBs, route caches, traffic all populated), reset it, then apply
-		// the reference configuration.
+		// TLBs, route caches, link stamps all populated), reset it, then
+		// apply the reference configuration.
 		m, err := NewMachine(arch.TileGx72())
 		if err != nil {
 			t.Fatal(err)
 		}
 		dSec, dIns := configEquivMachine(t, m, dirtySecure)
+		trackTwoTenants(m)
 		driveEquiv(m, dSec, dIns)
 		m.Reset()
 		rSec, rIns := configEquivMachine(t, m, 32)
+		trackTwoTenants(m)
 		got := signatureOf(m, driveEquiv(m, rSec, rIns))
 
 		compareSignatures(t, want, got)

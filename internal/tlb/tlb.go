@@ -26,7 +26,6 @@ type entry struct {
 
 // TLB is a set-associative translation buffer with LRU replacement.
 type TLB struct {
-	sets    int
 	ways    int
 	setMask uint64
 	gen     uint64
@@ -51,7 +50,7 @@ func New(entries, ways int) *TLB {
 		panic(fmt.Sprintf("tlb: %d sets must be a power of two", sets))
 	}
 	return &TLB{
-		sets: sets, ways: ways, setMask: uint64(sets - 1), gen: 1,
+		ways: ways, setMask: uint64(sets - 1), gen: 1,
 		entries: make([]entry, entries),
 		mruOf:   make([]*entry, sets),
 	}
