@@ -27,9 +27,9 @@
 // scenario experiment's resize-decision policy (always, hysteresis or
 // costaware; policycmp always runs all three).
 //
-// Every experiment is a job grid executed on -parallel workers (default:
-// all host cores) with deterministic per-job seeds, so any worker count
-// emits identical reports. Grids record each application once and replay
+// Every experiment is a grid of independent simulations fanned out over
+// -parallel workers (default: all host cores), each cell seeded from its
+// grid position, so any worker count emits identical reports. Grids record each application once and replay
 // the captured operation stream across the model axis and the binding
 // searches, and each exhaustive Optimal search can probe candidates on
 // -search-workers concurrent workers. -format selects the

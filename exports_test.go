@@ -125,6 +125,65 @@ func TestTestOnlyExports(t *testing.T) {
 	t.Logf("%d test-only exports of %d exported funcs and methods", len(found), len(declared))
 }
 
+// goStatementsList pins the funcs of the root module whose non-test code
+// holds a go statement. Each line is "<name> <tag>", where name is
+// types.Func.FullName and tag says why the func starts goroutines:
+//
+//	pool     the one worker pool every fan-out goes through
+//	handler  a request's work runs apart from the handler that answers it
+//	main     a program serves while its main goroutine waits
+const goStatementsList = "testdata/go_statements.txt"
+
+var goStatementTags = map[string]bool{"pool": true, "handler": true, "main": true}
+
+// TestGoStatements is the ratchet that keeps concurrency in the few places
+// that need it: fan-out belongs to runner.Map, so a new hand-rolled pool
+// (or any other go statement) fails until its func is listed, with a tag,
+// in testdata/go_statements.txt. The list must be exact: a listed func
+// that no longer starts goroutines fails too.
+func TestGoStatements(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a static scan; the race detector adds nothing to it")
+	}
+	found := map[string]token.Position{}
+	for _, p := range checkedPackages(t) {
+		if !p.root {
+			continue
+		}
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				name := p.path + " (package-level initializer)"
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					name = p.info.Defs[fd.Name].(*types.Func).FullName()
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok {
+						if _, seen := found[name]; !seen {
+							found[name] = p.fset.Position(g.Pos())
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	listed, err := readTaggedList(goStatementsList, goStatementTags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range sortedKeys(found) {
+		if _, ok := listed[name]; !ok {
+			t.Errorf("%s: %s starts a goroutine; fan out through runner.Map, or list it with a tag in %s", found[name], name, goStatementsList)
+		}
+	}
+	for _, name := range sortedKeys(listed) {
+		if _, ok := found[name]; !ok {
+			t.Errorf("%s is listed but starts no goroutine; drop it from %s", name, goStatementsList)
+		}
+	}
+	t.Logf("%d funcs start goroutines", len(found))
+}
+
 // listedPackage is the part of `go list -json` output the scan reads.
 type listedPackage struct {
 	ImportPath string

@@ -54,8 +54,8 @@ type Options struct {
 	WaiveReconfig bool
 	// Seed makes the run fully reproducible: a non-zero seed derives the
 	// attestation keypair deterministically instead of reading entropy.
-	// The parallel runner assigns per-job seeds from grid position so a
-	// sweep yields identical results at any worker count.
+	// Grids assign seeds from grid position (runner.SeedFor) so a sweep
+	// yields identical results at any worker count.
 	Seed int64
 	// SearchWorkers bounds the worker pool the exhaustive Optimal search
 	// evaluates candidate bindings on (<= 1 sequential). Each probe holds
@@ -85,13 +85,6 @@ func (o Options) scale() float64 {
 		return 1
 	}
 	return o.Scale
-}
-
-func (o Options) searchWorkers() int {
-	if o.SearchWorkers <= 1 {
-		return 1
-	}
-	return o.SearchWorkers
 }
 
 // Result is the outcome of one (app, model) run.
@@ -642,7 +635,7 @@ func chooseBinding(cfg arch.Config, model enclave.Model, fresh func() *workload.
 		if stride <= 0 {
 			stride = 1
 		}
-		hres, err = heuristic.OptimalParallel(lo, hi, stride, opts.searchWorkers(), eval)
+		hres, err = heuristic.OptimalParallel(lo, hi, stride, opts.SearchWorkers, eval)
 		sr.WaiveReconfig = true
 	} else {
 		hres, err = heuristic.Gradient(lo, hi, cfg.Cores()/2, cfg.Cores()/4, eval)
@@ -737,7 +730,7 @@ func realRounds(app *workload.App) int {
 
 // ModelFactories returns per-model constructors in the paper's
 // presentation order. Models carry per-run mutable state (IRONHIDE in
-// particular), so the parallel runner builds a fresh instance per job.
+// particular), so a parallel grid builds a fresh instance per cell.
 func ModelFactories() []func() enclave.Model {
 	return []func() enclave.Model{
 		func() enclave.Model { return enclave.Insecure{} },

@@ -6,12 +6,12 @@
 // configuration of Table I, plus the security-validation and interactivity
 // ablations this reproduction adds.
 //
-// Each experiment is split into a measurement half — a declarative job
-// grid executed by internal/runner, aggregated into a typed report struct
-// — and a presentation half (reports.go) rendered by the pluggable
-// text/CSV/JSON emitters in internal/metrics. Grids run on Config.Parallel
-// workers with deterministic per-job seeds, so any worker count produces
-// byte-identical reports.
+// Each experiment is split into a measurement half — a grid of
+// independent simulations fanned out over runner.Map, aggregated into a
+// typed report struct — and a presentation half (reports.go) rendered by
+// the pluggable text/CSV/JSON emitters in internal/metrics. Grids run on
+// Config.Parallel workers and seed each cell from its grid position
+// (runner.SeedFor), so any worker count produces byte-identical reports.
 package experiments
 
 import (
@@ -43,10 +43,10 @@ type Config struct {
 	Stride int
 	// Apps restricts the run to the named applications (nil = all nine).
 	Apps []string
-	// Parallel is the worker count for the job grids (<= 1 sequential).
+	// Parallel is the worker count for the grids (<= 1 sequential).
 	// Results are identical at any worker count.
 	Parallel int
-	// BaseSeed anchors the deterministic per-job seeds (default 1).
+	// BaseSeed anchors the deterministic per-cell seeds (default 1).
 	BaseSeed int64
 	// SearchWorkers bounds the worker pool of each exhaustive Optimal
 	// search (<= 1 sequential; results identical at any count).
@@ -75,13 +75,6 @@ func (c Config) stride() int {
 	return c.Stride
 }
 
-func (c Config) workers() int {
-	if c.Parallel <= 1 {
-		return 1
-	}
-	return c.Parallel
-}
-
 func (c Config) seed() int64 {
 	if c.BaseSeed == 0 {
 		return 1
@@ -89,28 +82,17 @@ func (c Config) seed() int64 {
 	return c.BaseSeed
 }
 
-func (c Config) searchWorkers() int {
-	if c.SearchWorkers <= 1 {
-		return 1
-	}
-	return c.SearchWorkers
-}
-
 // captureAll records each selected application once at the run scale (in
 // parallel across apps) so a grid can share the trace across its model
 // axis.
 func (c Config) captureAll(cfg arch.Config, entries []apps.Entry) ([]*trace.Trace, error) {
-	return runner.Map(c.workers(), entries, func(i int, entry apps.Entry) (*trace.Trace, error) {
+	return runner.Map(c.Parallel, entries, func(i int, entry apps.Entry) (*trace.Trace, error) {
 		tr, err := driver.CaptureTrace(cfg, entry.Factory, driver.Options{Scale: c.scale()})
 		if err != nil {
 			return nil, fmt.Errorf("capture %s: %w", entry.Name, err)
 		}
 		return tr, nil
 	})
-}
-
-func (c Config) runner(cfg arch.Config) *runner.Runner {
-	return &runner.Runner{Cfg: cfg, Workers: c.workers(), BaseSeed: c.seed()}
 }
 
 func (c Config) catalog() []apps.Entry {
@@ -161,40 +143,42 @@ func RunMatrix(cfg arch.Config, ec Config) (*Matrix, error) {
 		return nil, err
 	}
 
-	type slot struct {
-		entry apps.Entry
-		model string
+	type job struct {
+		entry   apps.Entry
+		model   string
+		factory func() enclave.Model
+		tr      *trace.Trace
 	}
-	var jobs []runner.Job
-	var slots []slot
+	var jobs []job
 	factories := driver.ModelFactories()
 	for ei, entry := range entries {
 		mx.Order = append(mx.Order, entry.Name)
 		mx.Cells[entry.Name] = map[string]*Cell{}
 		for mi, factory := range factories {
-			jobs = append(jobs, runner.Job{
-				Key:   entry.Name + "/" + models[mi].Name(),
-				Model: factory,
-				Opts:  driver.Options{Scale: ec.scale(), SearchWorkers: ec.searchWorkers()},
-				Trace: traces[ei],
-			})
-			slots = append(slots, slot{entry: entry, model: models[mi].Name()})
+			jobs = append(jobs, job{entry: entry, model: models[mi].Name(), factory: factory, tr: traces[ei]})
 		}
 	}
 
-	results, err := ec.runner(cfg).Run(jobs)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
+	results, err := runner.Map(ec.Parallel, jobs, func(i int, j job) (*driver.Result, error) {
+		opts := driver.Options{Scale: ec.scale(), Seed: runner.SeedFor(ec.seed(), i), SearchWorkers: ec.SearchWorkers}
+		res, err := driver.RunTrace(cfg, j.factory(), j.tr, opts)
+		if err != nil {
+			return nil, fmt.Errorf("job %q: %w", j.entry.Name+"/"+j.model, err)
+		}
 		// Strong-isolation invariant: under contiguous row-major splits
 		// the bidirectional route chooser must never fail containment, so
 		// any violation in any cell is a simulator bug, not a measurement.
-		if r.Res.RouteViolations != 0 {
-			return nil, fmt.Errorf("experiments: %s recorded %d route violations; contained routing must never fail under contiguous splits",
-				jobs[i].Key, r.Res.RouteViolations)
+		if res.RouteViolations != 0 {
+			return nil, fmt.Errorf("experiments: %s/%s recorded %d route violations; contained routing must never fail under contiguous splits",
+				j.entry.Name, j.model, res.RouteViolations)
 		}
-		mx.Cells[slots[i].entry.Name][slots[i].model] = &Cell{Entry: slots[i].entry, Result: r.Res}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, j := range jobs {
+		mx.Cells[j.entry.Name][j.model] = &Cell{Entry: j.entry, Result: results[i]}
 	}
 	return mx, nil
 }
@@ -386,12 +370,12 @@ func BuildFig8(cfg arch.Config, ec Config) (*Fig8Report, error) {
 	entries := ec.catalog()
 	variations := []float64{-0.25, -0.15, -0.05, +0.05, +0.15, +0.25}
 
-	measured, err := runner.Map(ec.workers(), entries, func(i int, entry apps.Entry) (fig8Entry, error) {
+	measured, err := runner.Map(ec.Parallel, entries, func(i int, entry apps.Entry) (fig8Entry, error) {
 		var out fig8Entry
 		opts := func() driver.Options {
 			return driver.Options{
 				Scale: ec.scale(), Seed: ec.seed() + int64(i),
-				SearchWorkers: ec.searchWorkers(),
+				SearchWorkers: ec.SearchWorkers,
 			}
 		}
 
@@ -542,7 +526,7 @@ func BuildSweep(cfg arch.Config, ec Config, rounds []int) (*SweepReport, error) 
 			points = append(points, point{entry: entry, n: n, scale: float64(n) / float64(base.Rounds)})
 		}
 	}
-	traces, err := runner.Map(ec.workers(), points, func(_ int, p point) (*trace.Trace, error) {
+	traces, err := runner.Map(ec.Parallel, points, func(_ int, p point) (*trace.Trace, error) {
 		tr, err := driver.CaptureTrace(cfg, p.entry.Factory, driver.Options{Scale: p.scale})
 		if err != nil {
 			return nil, fmt.Errorf("capture %s/%d: %w", p.entry.Name, p.n, err)
@@ -553,21 +537,27 @@ func BuildSweep(cfg arch.Config, ec Config, rounds []int) (*SweepReport, error) 
 		return nil, err
 	}
 
-	var jobs []runner.Job
-	var appOf []string
+	type job struct {
+		p     point
+		tr    *trace.Trace
+		model func() enclave.Model
+	}
+	var jobs []job
 	for pi, p := range points {
 		for _, model := range sweepModels {
-			jobs = append(jobs, runner.Job{
-				Key:   fmt.Sprintf("%s/%d/%s", p.entry.Name, p.n, model().Name()),
-				Model: model,
-				Opts:  driver.Options{Scale: p.scale},
-				Trace: traces[pi],
-			})
-			appOf = append(appOf, p.entry.Name)
+			jobs = append(jobs, job{p: p, tr: traces[pi], model: model})
 		}
 	}
 
-	results, err := ec.runner(cfg).Run(jobs)
+	results, err := runner.Map(ec.Parallel, jobs, func(i int, j job) (*driver.Result, error) {
+		model := j.model()
+		res, err := driver.RunTrace(cfg, model, j.tr, driver.Options{Scale: j.p.scale, Seed: runner.SeedFor(ec.seed(), i)})
+		if err != nil {
+			key := fmt.Sprintf("%s/%d/%s", j.p.entry.Name, j.p.n, model.Name())
+			return nil, fmt.Errorf("job %q: %w", key, err)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -575,11 +565,10 @@ func BuildSweep(cfg arch.Config, ec Config, rounds []int) (*SweepReport, error) 
 		Name:  "sweep",
 		Title: "Interactivity sweep: purge overhead vs input count (MI6 vs IRONHIDE)",
 	}
-	for i, r := range results {
-		res := r.Res
+	for i, res := range results {
 		share := float64(res.PurgeCycles+res.ReconfigCycles) / float64(res.CompletionCycles)
 		rep.Points = append(rep.Points, SweepPoint{
-			App: appOf[i], Inputs: res.Rounds, Model: res.Model,
+			App: jobs[i].p.entry.Name, Inputs: res.Rounds, Model: res.Model,
 			Completion: res.CompletionCycles, PurgeShare: share,
 		})
 	}
@@ -596,7 +585,7 @@ func BuildScenario(cfg arch.Config, ec Config) (*scenario.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return scenario.Run(cfg, spec, scenario.Options{Workers: ec.workers()})
+	return scenario.Run(cfg, spec, scenario.Options{Workers: ec.Parallel})
 }
 
 // scenarioSpec derives the scenario experiment's Spec from the config.
@@ -627,7 +616,7 @@ func (c Config) scenarioSpec() (scenario.Spec, error) {
 // by total completion (ties by name), deterministically for a given seed.
 func BuildPolicyCmp(cfg arch.Config, ec Config) (*PolicyCmpReport, error) {
 	names := scenario.ReconfigPolicyNames()
-	rows, err := runner.Map(ec.workers(), names, func(_ int, policy string) (PolicyCmpRow, error) {
+	rows, err := runner.Map(ec.Parallel, names, func(_ int, policy string) (PolicyCmpRow, error) {
 		pc := ec
 		pc.ReconfigPolicy = policy
 		spec, err := pc.scenarioSpec()
@@ -698,7 +687,7 @@ func BuildCoTenancy(cfg arch.Config, ec Config) (*sched.Report, error) {
 	}
 	return sched.JointSearch(cfg, tenants, sched.Options{
 		Scale:   ec.scale(),
-		Workers: ec.workers(),
+		Workers: ec.Parallel,
 		Seed:    ec.seed(),
 	})
 }
@@ -708,7 +697,7 @@ func BuildCoTenancy(cfg arch.Config, ec Config) (*sched.Report, error) {
 // channel's secret bit string derives from Config.BaseSeed.
 func BuildAttack(ec Config, trials int) (*AttackReport, error) {
 	models := driver.Models()
-	rows, err := runner.Map(ec.workers(), models, func(i int, m enclave.Model) (AttackRow, error) {
+	rows, err := runner.Map(ec.Parallel, models, func(i int, m enclave.Model) (AttackRow, error) {
 		res, err := attack.CovertChannel(m, trials, ec.seed())
 		if err != nil {
 			return AttackRow{}, err

@@ -7,8 +7,8 @@ package heuristic
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+
+	"ironhide/internal/runner"
 )
 
 // Evaluator estimates the application's completion time (in cycles) for a
@@ -83,13 +83,13 @@ func Gradient(lo, hi, start, step int, eval Evaluator) (Result, error) {
 
 // OptimalParallel exhaustively evaluates every candidate in [lo, hi] with
 // the given stride and returns the best — the paper's overhead-free
-// oracle — over a bounded worker pool: candidates are independent
-// fresh-machine probes, so up to `workers` of them evaluate concurrently
-// (<= 1 runs sequentially on the calling goroutine). The
-// outcome is deterministic at any worker count — ties break toward the
-// smallest candidate, Probes counts every candidate, and the reported
-// error is the first failing candidate in range order. The evaluator must
-// be safe for concurrent calls when workers > 1.
+// oracle. Candidates are independent fresh-machine probes, so they fan
+// out over runner.Map on up to `workers` goroutines. The outcome is
+// deterministic at any worker count: ties break toward the smallest
+// candidate, Probes counts every candidate, and the reported error is the
+// first failing candidate in range order. Every candidate runs even after
+// one fails. The evaluator must be safe for concurrent calls when
+// workers > 1.
 func OptimalParallel(lo, hi, stride, workers int, eval Evaluator) (Result, error) {
 	if lo > hi {
 		return Result{}, fmt.Errorf("heuristic: bad range [%d,%d]", lo, hi)
@@ -101,53 +101,12 @@ func OptimalParallel(lo, hi, stride, workers int, eval Evaluator) (Result, error
 	for k := lo; k <= hi; k += stride {
 		cands = append(cands, k)
 	}
-	vals := make([]float64, len(cands))
-	errs := make([]error, len(cands))
-	if workers > len(cands) {
-		workers = len(cands)
+	vals, err := runner.Map(workers, cands, func(_, k int) (float64, error) { return eval(k) })
+	if err != nil {
+		return Result{}, err
 	}
-	if workers <= 1 {
-		for i, k := range cands {
-			vals[i], errs[i] = eval(k)
-			if errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		// Candidates are dispatched in range order; an error stops the
-		// dispatch of further (strictly later) candidates, so the first
-		// error in range order is always among the evaluated ones and the
-		// result scan below never reaches an undispatched slot.
-		idx := make(chan int)
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					vals[i], errs[i] = eval(cands[i])
-					if errs[i] != nil {
-						failed.Store(true)
-					}
-				}
-			}()
-		}
-		for i := range cands {
-			if failed.Load() {
-				break
-			}
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	res := Result{SecureCores: -1}
+	res := Result{SecureCores: -1, Probes: len(cands)}
 	for i, k := range cands {
-		if errs[i] != nil {
-			return Result{}, errs[i]
-		}
-		res.Probes++
 		if res.SecureCores < 0 || vals[i] < res.Completion {
 			res.SecureCores = k
 			res.Completion = vals[i]

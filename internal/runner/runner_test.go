@@ -2,17 +2,9 @@ package runner
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"ironhide/internal/arch"
-	"ironhide/internal/driver"
-	"ironhide/internal/enclave"
-	"ironhide/internal/graphalg"
-	"ironhide/internal/graphgen"
-	"ironhide/internal/workload"
 )
 
 func TestMapOrderedResults(t *testing.T) {
@@ -63,111 +55,20 @@ func TestMapFirstErrorByInputOrder(t *testing.T) {
 	}
 }
 
-// tinyApp builds a small, fast interactive application for runner tests.
-func tinyApp() *workload.App {
-	g := graphgen.NewRoadNetwork(24, 24, 60, 3)
-	gen := graphgen.NewGenerator(g, 24, 7)
-	return &workload.App{
-		Name: "tiny", Class: workload.User,
-		Insecure: gen,
-		Secure:   graphalg.NewSSSP(gen, 0, 2),
-		Rounds:   12, Warmup: 3, ProfileRounds: 4,
-		PayloadBytes: 512, ReplyBytes: 128,
-	}
-}
-
-// tinyGrid replays one capture of tinyApp under three models.
-func tinyGrid(t *testing.T) []Job {
-	t.Helper()
-	tr, err := driver.CaptureTrace(arch.TileGx72(), tinyApp, driver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := []func() enclave.Model{
-		func() enclave.Model { return enclave.Insecure{} },
-		func() enclave.Model { return enclave.SGXLike{} },
-		func() enclave.Model { return enclave.MulticoreMI6{} },
-	}
-	var jobs []Job
-	for i, model := range models {
-		jobs = append(jobs, Job{
-			Key:   fmt.Sprintf("tiny/%d", i),
-			Model: model,
-			Opts:  driver.Options{FixedSecureCores: 16},
-			Trace: tr,
-		})
-	}
-	return jobs
-}
-
-// The tentpole property: a grid's results are identical at any worker
-// count, measurement for measurement.
-func TestRunnerParallelMatchesSequential(t *testing.T) {
-	cfg := arch.TileGx72()
-	seq := Runner{Cfg: cfg, Workers: 1}
-	par := Runner{Cfg: cfg, Workers: 8}
-	want, err := seq.Run(tinyGrid(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := par.Run(tinyGrid(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d results, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Index != i {
-			t.Fatalf("result %d carries index %d", i, got[i].Index)
-		}
-		if !reflect.DeepEqual(want[i].Res, got[i].Res) {
-			t.Fatalf("job %d diverged:\nseq: %+v\npar: %+v", i, want[i].Res, got[i].Res)
-		}
-	}
-}
-
-func TestRunnerSeedsAreDeterministic(t *testing.T) {
-	r := Runner{}
+func TestSeedForIsDeterministic(t *testing.T) {
 	for i := 0; i < 64; i++ {
-		s := r.seedFor(i)
+		s := SeedFor(1, i)
 		if s <= 0 {
-			t.Fatalf("seedFor(%d) = %d, want positive", i, s)
+			t.Fatalf("SeedFor(1, %d) = %d, want positive", i, s)
 		}
-		if s != r.seedFor(i) {
-			t.Fatalf("seedFor(%d) not stable", i)
+		if s != SeedFor(1, i) {
+			t.Fatalf("SeedFor(1, %d) not stable", i)
 		}
-		if i > 0 && s == r.seedFor(i-1) {
-			t.Fatalf("seedFor(%d) collides with predecessor", i)
+		if i > 0 && s == SeedFor(1, i-1) {
+			t.Fatalf("SeedFor(1, %d) collides with predecessor", i)
 		}
 	}
-	other := Runner{BaseSeed: 7}
-	if r.seedFor(0) == other.seedFor(0) {
+	if SeedFor(1, 0) == SeedFor(7, 0) {
 		t.Fatal("base seed ignored")
-	}
-}
-
-func TestRunnerReportsJobFailures(t *testing.T) {
-	cfg := arch.TileGx72()
-	jobs := tinyGrid(t)
-	broken := Job{
-		Key: "broken", // no Trace to replay
-		Model: func() enclave.Model {
-			return enclave.Insecure{}
-		},
-	}
-	jobs = append([]Job{broken}, jobs...)
-	r := Runner{Cfg: cfg, Workers: 4}
-	results, err := r.Run(jobs)
-	if err == nil || err.Error() != `job "broken": no trace` {
-		t.Fatalf("err = %v, want the broken job's failure", err)
-	}
-	if results[0].Err == nil {
-		t.Fatal("broken job's result lacks its error")
-	}
-	for _, res := range results[1:] {
-		if res.Err != nil || res.Res == nil {
-			t.Fatalf("healthy job %q lost: %+v", res.Job.Key, res)
-		}
 	}
 }

@@ -181,12 +181,21 @@ func ValidateModel(name string) error {
 	return fmt.Errorf("scenario: model %q cannot host a multi-tenant timeline (want IRONHIDE or Insecure; temporal models time-share the whole machine)", name)
 }
 
+// timeline is the schedule a run plays: the explicit Timeline, or the
+// seeded Generate(s) when it is empty.
+func (s Spec) timeline() []Event {
+	if len(s.Timeline) > 0 {
+		return s.Timeline
+	}
+	return Generate(s)
+}
+
 // Validate checks everything about a Spec that can be rejected without
-// simulating: the model, the application pool, and — for an explicit
-// timeline — every event's kind, application, residency transition,
-// factor, and the tenant bound. Run performs the same checks, but a
-// front end (the HTTP service) calls this first so client mistakes fail
-// fast as bad requests instead of surfacing mid-simulation.
+// simulating: the model, the application pool, and every event of the
+// effective timeline (see timeline) — its kind, application, residency
+// transition, factor, and the tenant bound. Run validates first, so the
+// engine never meets an event it cannot apply; a front end (the HTTP
+// service) calls this too so client mistakes fail fast as bad requests.
 func (s Spec) Validate() error {
 	if err := ValidateModel(s.Model); err != nil {
 		return err
@@ -213,27 +222,31 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: %w", err)
 		}
 	}
+	// Residency is tracked by catalog alias, as the engine tracks its
+	// tenants: a paper label, an alias and a space-padded alias name the
+	// same tenant.
 	resident := map[string]bool{}
-	for i, ev := range s.Timeline {
-		if _, err := apps.Find(ev.App); err != nil {
+	for i, ev := range s.timeline() {
+		entry, err := apps.Find(ev.App)
+		if err != nil {
 			return fmt.Errorf("scenario: timeline event %d: %w", i, err)
 		}
 		switch ev.Kind {
 		case Arrive:
-			if resident[ev.App] {
+			if resident[entry.Alias] {
 				return fmt.Errorf("scenario: timeline event %d: tenant %s is already resident", i, ev.App)
 			}
 			if len(resident) >= s.maxTenants() {
 				return fmt.Errorf("scenario: timeline event %d: machine is full (%d tenants)", i, len(resident))
 			}
-			resident[ev.App] = true
+			resident[entry.Alias] = true
 		case Depart:
-			if !resident[ev.App] {
+			if !resident[entry.Alias] {
 				return fmt.Errorf("scenario: timeline event %d: tenant %s is not resident", i, ev.App)
 			}
-			delete(resident, ev.App)
+			delete(resident, entry.Alias)
 		case LoadShift:
-			if !resident[ev.App] {
+			if !resident[entry.Alias] {
 				return fmt.Errorf("scenario: timeline event %d: tenant %s is not resident", i, ev.App)
 			}
 			if ev.Factor <= 0 {
@@ -261,13 +274,6 @@ type Options struct {
 	// SSE framing here. Calls are synchronous from the engine's phase
 	// loop in a deterministic order; they do not change any measurement.
 	Sink Sink
-}
-
-func (o Options) workers() int {
-	if o.Workers <= 1 {
-		return 1
-	}
-	return o.Workers
 }
 
 // Generate builds the seeded event schedule for the spec: the first event
@@ -365,10 +371,6 @@ func Run(cfg arch.Config, spec Spec, opts Options) (*Report, error) {
 	// The report carries no reference to the machine, so it goes back to
 	// the driver's machine arena however the run ends.
 	defer driver.ReleaseMachine(e.m)
-	timeline := spec.Timeline
-	if len(timeline) == 0 {
-		timeline = Generate(spec)
-	}
 	rep := &Report{
 		Name:       "scenario",
 		Title:      "Multi-tenant dynamic-reconfiguration timeline",
@@ -385,7 +387,7 @@ func Run(cfg arch.Config, spec Spec, opts Options) (*Report, error) {
 	if spec.ReconfigPolicy != "" {
 		rep.ReconfigPolicy = e.policy.Name()
 	}
-	for i, ev := range timeline {
+	for i, ev := range spec.timeline() {
 		ph, err := e.phase(i, ev)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: phase %d (%s): %w", i, ev, err)
@@ -410,10 +412,10 @@ func Run(cfg arch.Config, spec Spec, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// Grid runs one scenario per spec, fanned out over the runner's worker
-// pool — the scenario-grid sweep the CLI and the benchmarks use to
-// compare the same timeline across enclave models or seeds. Results are
-// ordered by spec index and identical at any worker count.
+// Grid runs one scenario per spec, fanned out over runner.Map — the
+// scenario-grid sweep the CLI and the benchmarks use to compare the same
+// timeline across enclave models or seeds. Results are ordered by spec
+// index and identical at any worker count.
 func Grid(cfg arch.Config, specs []Spec, workers int) ([]*Report, error) {
 	return runner.Map(workers, specs, func(_ int, spec Spec) (*Report, error) {
 		return Run(cfg, spec, Options{})
@@ -422,9 +424,6 @@ func Grid(cfg arch.Config, specs []Spec, workers int) ([]*Report, error) {
 
 func newEngine(cfg arch.Config, spec Spec, opts Options) (*engine, error) {
 	e := &engine{cfg: cfg, spec: spec, opts: opts, traces: map[string]*trace.Trace{}}
-	if err := ValidateModel(spec.Model); err != nil {
-		return nil, err
-	}
 	pol, err := NewReconfigPolicy(spec.ReconfigPolicy)
 	if err != nil {
 		return nil, err
@@ -498,27 +497,26 @@ func (e *engine) traceFor(entry apps.Entry) (*trace.Trace, error) {
 	return tr, nil
 }
 
-func (e *engine) findTenant(alias string) (int, *tenant) {
+// findTenant returns the resident tenant an event names. Validate has
+// resolved the name (a paper label or an alias) to a resident catalog
+// entry, so the lookup always succeeds.
+func (e *engine) findTenant(name string) (int, *tenant) {
+	entry, _ := apps.ByName(strings.TrimSpace(name))
 	for i, t := range e.tenants {
-		if t.entry.Alias == alias {
+		if t.entry.Alias == entry.Alias {
 			return i, t
 		}
 	}
 	return -1, nil
 }
 
-// phase applies one event and measures the resulting phase.
+// phase applies one event and measures the resulting phase. Run has
+// validated the timeline, so the event fits the residency so far.
 func (e *engine) phase(index int, ev Event) (*Phase, error) {
 	ph := &Phase{Index: index, Event: ev.String(), BindingFrom: e.binding}
 	newInvocation := false
 	switch ev.Kind {
 	case Arrive:
-		if _, t := e.findTenant(ev.App); t != nil {
-			return nil, fmt.Errorf("tenant %s is already resident", ev.App)
-		}
-		if len(e.tenants) >= e.spec.maxTenants() {
-			return nil, fmt.Errorf("machine is full (%d tenants)", len(e.tenants))
-		}
 		entry, err := apps.Find(ev.App)
 		if err != nil {
 			return nil, err
@@ -560,9 +558,6 @@ func (e *engine) phase(index int, ev Event) (*Phase, error) {
 		newInvocation = true
 	case Depart:
 		i, t := e.findTenant(ev.App)
-		if t == nil {
-			return nil, fmt.Errorf("tenant %s is not resident", ev.App)
-		}
 		e.tenants = append(e.tenants[:i:i], e.tenants[i+1:]...)
 		// The kernel tears down the departed address space, so later
 		// resizes re-home only the resident footprint — no ghost tenants.
@@ -576,12 +571,6 @@ func (e *engine) phase(index int, ev Event) (*Phase, error) {
 		newInvocation = true
 	case LoadShift:
 		_, t := e.findTenant(ev.App)
-		if t == nil {
-			return nil, fmt.Errorf("tenant %s is not resident", ev.App)
-		}
-		if ev.Factor <= 0 {
-			return nil, fmt.Errorf("load-shift factor %g must be positive", ev.Factor)
-		}
 		t.weight *= ev.Factor
 		// Load is bounded in both directions: a tenant neither vanishes nor
 		// grows without limit, so compounding shifts stay meaningful.
@@ -592,8 +581,6 @@ func (e *engine) phase(index int, ev Event) (*Phase, error) {
 			t.weight = 4
 		}
 		e.emit(StreamEvent{Type: EvLoadShift, Phase: index, App: ev.App, Factor: ev.Factor, Tenants: e.residentAliases()})
-	default:
-		return nil, fmt.Errorf("unknown event kind %q", ev.Kind)
 	}
 
 	if e.ironhide && newInvocation {
@@ -778,7 +765,7 @@ func (e *engine) runTenants(index int, ph *Phase) error {
 	for i, t := range e.tenants {
 		jobs[i] = job{t: t, seed: runner.SeedFor(e.spec.seed(), index*64+i+1)}
 	}
-	runs, err := runner.Map(e.opts.workers(), jobs, func(_ int, j job) (TenantRun, error) {
+	runs, err := runner.Map(e.opts.Workers, jobs, func(_ int, j job) (TenantRun, error) {
 		res, err := driver.RunTrace(e.cfg, e.searchModel(), j.t.tr, driver.Options{
 			Scale:            e.spec.scale(),
 			FixedSecureCores: e.binding,
@@ -844,7 +831,7 @@ func (e *engine) runCoTenants(index int, ph *Phase) error {
 	for i := range jobs {
 		jobs[i] = i - 1
 	}
-	results, err := runner.Map(e.opts.workers(), jobs, func(_ int, active int) (*driver.CoRunResult, error) {
+	results, err := runner.Map(e.opts.Workers, jobs, func(_ int, active int) (*driver.CoRunResult, error) {
 		opts := driver.CoRunOptions{
 			Scale:       e.spec.scale(),
 			SecureCores: e.binding,

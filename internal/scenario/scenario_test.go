@@ -188,6 +188,52 @@ func TestEventValidation(t *testing.T) {
 	}
 }
 
+// TestTenantNamesResolveToOneTenant: events may name a tenant by paper
+// label, alias, or space-padded alias, and all three are one tenant — in
+// Validate's residency walk and in the engine alike, so a timeline that
+// validates always applies.
+func TestTenantNamesResolveToOneTenant(t *testing.T) {
+	// A generated timeline over a paper-label pool load-shifts and departs
+	// by label: it measures exactly what the alias pool measures.
+	byLabel, err := Run(testCfg(), Spec{Seed: 5, Scale: 0.05, Events: 5, Apps: []string{"<AES, QUERY>"}}, Options{})
+	if err != nil {
+		t.Fatalf("paper-label pool: %v", err)
+	}
+	byAlias, err := Run(testCfg(), Spec{Seed: 5, Scale: 0.05, Events: 5, Apps: []string{"aes-query"}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byLabel.TotalCycles != byAlias.TotalCycles || len(byLabel.Phases) != len(byAlias.Phases) {
+		t.Fatalf("label pool measured %d cycles over %d phases, alias pool %d over %d",
+			byLabel.TotalCycles, len(byLabel.Phases), byAlias.TotalCycles, len(byAlias.Phases))
+	}
+
+	mixed := []Event{
+		{Kind: Arrive, App: " aes-query"},
+		{Kind: Arrive, App: "<TC, GRAPH>"},
+		{Kind: LoadShift, App: "<AES, QUERY>", Factor: 2},
+		{Kind: Depart, App: "tc-graph "},
+		{Kind: Depart, App: " aes-query"},
+		{Kind: Arrive, App: "aes-query"},
+	}
+	rep, err := Run(testCfg(), Spec{Seed: 5, Scale: 0.05, Timeline: mixed}, Options{})
+	if err != nil {
+		t.Fatalf("mixed names: %v", err)
+	}
+	if len(rep.Phases) != len(mixed) {
+		t.Fatalf("mixed names ran %d phases, want %d", len(rep.Phases), len(mixed))
+	}
+
+	for _, bad := range [][]Event{
+		{{Kind: Arrive, App: "aes-query"}, {Kind: Arrive, App: "<AES, QUERY>"}},
+		{{Kind: Arrive, App: "<AES, QUERY>"}, {Kind: Depart, App: "aes-query"}, {Kind: LoadShift, App: " aes-query", Factor: 2}},
+	} {
+		if err := (Spec{Timeline: bad}).Validate(); err == nil {
+			t.Fatalf("timeline %v validated, but its names resolve to one tenant", bad)
+		}
+	}
+}
+
 // TestGenerateTimelineAlwaysApplies: generated schedules are valid by
 // construction — arrivals admit non-residents within the tenant bound,
 // departures and shifts name residents, and the machine never empties.

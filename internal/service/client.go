@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -84,6 +85,20 @@ func (c *Client) maxRetryDelay() time.Duration {
 	}
 }
 
+// doubled returns base doubled n times, saturating at limit (<= 0: no
+// limit) and before the next doubling would overflow, so the delay never
+// decreases as n grows.
+func doubled(base time.Duration, n int, limit time.Duration) time.Duration {
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
+	d := base
+	for ; n > 0 && d < limit && d <= math.MaxInt64/2; n-- {
+		d *= 2
+	}
+	return min(d, limit)
+}
+
 func (c *Client) clock() time.Time {
 	if c.now != nil {
 		return c.now()
@@ -106,7 +121,7 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 // MaxRetryDelay and never past the context's remaining deadline —
 // a misbehaving "Retry-After: 86400" must not park the caller for a day.
 func (c *Client) retryDelay(ctx context.Context, n int, resp *http.Response) time.Duration {
-	d := c.backoff() << n
+	d := doubled(c.backoff(), n, c.maxRetryDelay())
 	if resp != nil {
 		if secs, err := strconv.ParseFloat(resp.Header.Get("Retry-After"), 64); err == nil && secs >= 0 {
 			d = time.Duration(secs * float64(time.Second))

@@ -114,8 +114,11 @@ func TestClientWaitReady(t *testing.T) {
 
 // The Retry-After clamp bugfix: the hint is server-controlled input, so a
 // hostile or buggy "Retry-After: 86400" must be clamped to MaxRetryDelay
-// and never past the context's remaining deadline. Fake clock, no real
-// sleeping.
+// and never past the context's remaining deadline. Transport-error
+// backoff (attempt n) doubles up to the same cap: an unchecked shift
+// wrapped 50ms << 38 and << 40 to a negative duration that the clamp
+// turned into a 0s sleep, so a long retry loop spun without waiting.
+// Fake clock, no real sleeping.
 func TestClientClampsRetryAfter(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	resp := func(retryAfter string) *http.Response {
@@ -133,30 +136,58 @@ func TestClientClampsRetryAfter(t *testing.T) {
 		name   string
 		client Client
 		ctx    context.Context
+		n      int
 		resp   *http.Response
 		want   time.Duration
 	}{
 		{"honors small hints verbatim",
-			Client{}, context.Background(), resp("0.250"), 250 * time.Millisecond},
+			Client{}, context.Background(), 0, resp("0.250"), 250 * time.Millisecond},
 		{"clamps a day-long hint to the default cap",
-			Client{}, context.Background(), resp("86400"), 30 * time.Second},
+			Client{}, context.Background(), 0, resp("86400"), 30 * time.Second},
 		{"clamps to a configured cap",
-			Client{MaxRetryDelay: 2 * time.Second}, context.Background(), resp("86400"), 2 * time.Second},
+			Client{MaxRetryDelay: 2 * time.Second}, context.Background(), 0, resp("86400"), 2 * time.Second},
 		{"cap disabled honors the hint",
-			Client{MaxRetryDelay: -1}, context.Background(), resp("86400"), 86400 * time.Second},
+			Client{MaxRetryDelay: -1}, context.Background(), 0, resp("86400"), 86400 * time.Second},
 		{"clamps to the deadline's remainder",
-			Client{}, ctxWith(400 * time.Millisecond), resp("5"), 400 * time.Millisecond},
+			Client{}, ctxWith(400 * time.Millisecond), 0, resp("5"), 400 * time.Millisecond},
 		{"expired deadline sleeps zero",
-			Client{}, ctxWith(-time.Second), resp("5"), 0},
+			Client{}, ctxWith(-time.Second), 0, resp("5"), 0},
 		{"backoff also respects the deadline",
-			Client{Backoff: 10 * time.Second}, ctxWith(100 * time.Millisecond), nil, 100 * time.Millisecond},
+			Client{Backoff: 10 * time.Second}, ctxWith(100 * time.Millisecond), 0, nil, 100 * time.Millisecond},
+		{"backoff doubles per attempt",
+			Client{}, context.Background(), 3, nil, 400 * time.Millisecond},
+		{"backoff stops at the cap",
+			Client{MaxRetries: 64}, context.Background(), 10, nil, 30 * time.Second},
+		{"backoff at attempt 38 stays at the cap",
+			Client{MaxRetries: 64}, context.Background(), 38, nil, 30 * time.Second},
+		{"backoff at attempt 40 stays at the cap",
+			Client{MaxRetries: 64}, context.Background(), 40, nil, 30 * time.Second},
+		{"backoff at attempt 63 stays at the cap",
+			Client{MaxRetries: 64}, context.Background(), 63, nil, 30 * time.Second},
 	}
 	for _, tc := range cases {
 		c := tc.client
 		c.now = func() time.Time { return base }
-		if got := c.retryDelay(tc.ctx, 0, tc.resp); got != tc.want {
+		if got := c.retryDelay(tc.ctx, tc.n, tc.resp); got != tc.want {
 			t.Fatalf("%s: retryDelay = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+
+	// Without a cap, and for the router's inter-pass backoff, the delay
+	// never decreases as the attempt number grows.
+	uncapped := Client{MaxRetries: 64, MaxRetryDelay: -1}
+	var prevClient, prevRouter time.Duration
+	for n := 0; n < 100; n++ {
+		got := uncapped.retryDelay(context.Background(), n, nil)
+		if got < prevClient || got <= 0 {
+			t.Fatalf("uncapped retryDelay(n=%d) = %v after %v", n, got, prevClient)
+		}
+		prevClient = got
+		d := doubled(50*time.Millisecond, n, 0)
+		if d < prevRouter || d <= 0 {
+			t.Fatalf("router backoff at pass %d = %v after %v", n+1, d, prevRouter)
+		}
+		prevRouter = d
 	}
 }
 

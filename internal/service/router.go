@@ -189,7 +189,7 @@ func (rt *Router) post(ctx context.Context, path, key string, body []byte, accep
 			// Jittered exponential backoff between passes: the whole
 			// replica set was unavailable, so wait out the blip without
 			// synchronizing with every other router doing the same.
-			d := rt.cfg.backoff() << (pass - 1)
+			d := doubled(rt.cfg.backoff(), pass-1, 0)
 			d = time.Duration(float64(d) * (0.5 + rand.Float64()))
 			if err := sleep(ctx, d); err != nil {
 				return res, err

@@ -88,6 +88,12 @@ func TestScenarioEndpointValidation(t *testing.T) {
 		{"depart non-resident", ScenarioRequest{Spec: scenario.Spec{
 			Timeline: []scenario.Event{{Kind: scenario.Depart, App: "aes-query"}},
 		}}},
+		{"double arrive under label and alias", ScenarioRequest{Spec: scenario.Spec{
+			Timeline: []scenario.Event{
+				{Kind: scenario.Arrive, App: "<AES, QUERY>"},
+				{Kind: scenario.Arrive, App: " aes-query"},
+			},
+		}}},
 		{"bad factor", ScenarioRequest{Spec: scenario.Spec{
 			Timeline: []scenario.Event{
 				{Kind: scenario.Arrive, App: "aes-query"},
@@ -99,6 +105,26 @@ func TestScenarioEndpointValidation(t *testing.T) {
 		resp, body := post(t, ts, "/v1/scenario", tc.req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d: %s", tc.name, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestScenarioPaperLabels: a pool of paper labels, and an explicit
+// timeline that names one tenant by label, padded alias and alias, run
+// to completion — the engine finds every tenant Validate found resident.
+func TestScenarioPaperLabels(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	for _, spec := range []scenario.Spec{
+		{Seed: 3, Scale: 0.05, Events: 5, Apps: []string{"<AES, QUERY>"}},
+		{Seed: 3, Scale: 0.05, Timeline: []scenario.Event{
+			{Kind: scenario.Arrive, App: "<AES, QUERY>"},
+			{Kind: scenario.LoadShift, App: " aes-query", Factor: 2},
+			{Kind: scenario.Depart, App: "aes-query"},
+		}},
+	} {
+		resp, body := post(t, ts, "/v1/scenario", ScenarioRequest{Spec: spec})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: status %d: %s", spec, resp.StatusCode, body)
 		}
 	}
 }

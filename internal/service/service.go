@@ -715,43 +715,32 @@ func (s *Server) gridPlan(req *GridRequest) (plan, error) {
 			return prefetched{tr: tr, err: err}, nil
 		})
 
-		var jobs []runner.Job
-		var jobCell []int // jobs[j] runs response cell jobCell[j]
-		resp := GridResponse{Cells: make([]GridCell, len(req.Cells)), Workers: workers}
-		for i, q := range req.Cells {
-			key := fmt.Sprintf("%s/%s", entries[i].Alias, models[i]().Name())
-			resp.Cells[i].Key = key
+		cells, _ := runner.Map(workers, req.Cells, func(i int, q Query) (GridCell, error) {
+			model := models[i]()
+			cell := GridCell{Key: fmt.Sprintf("%s/%s", entries[i].Alias, model.Name())}
 			pf := traces[keyIndex[keyOf(i)]]
 			if pf.err != nil {
-				resp.Cells[i].Error = pf.err.Error()
-				continue
+				cell.Error = pf.err.Error()
+				return cell, nil
 			}
-			opts := q.Options()
-			if opts.Seed == 0 {
-				// Seed by request cell, not job-list position: a failed
-				// capture compacts the job list, and must not shift the
-				// seeds (and results) of the surviving cells.
-				opts.Seed = runner.SeedFor(1, i)
+			// An abandoned batch stops dispatching replays instead of
+			// burning the pool on results nobody will read, and stops each
+			// in-flight replay at its next round checkpoint.
+			err := ctx.Err()
+			if err == nil {
+				opts := q.Options()
+				if opts.Seed == 0 {
+					opts.Seed = runner.SeedFor(1, i)
+				}
+				opts.Interrupt = ctxInterrupt(ctx)
+				cell.Result, err = driver.RunTrace(s.cfg.Arch, model, pf.tr, opts)
 			}
-			// An abandoned batch stops each in-flight replay at its next
-			// round checkpoint, complementing the dispatch-level Ctx below.
-			opts.Interrupt = ctxInterrupt(ctx)
-			jobs = append(jobs, runner.Job{Key: key, Model: models[i], Opts: opts, Trace: pf.tr})
-			jobCell = append(jobCell, i)
-		}
-		// Ctx lets an abandoned batch stop dispatching replay jobs instead
-		// of burning the pool on results nobody will read.
-		rn := runner.Runner{Cfg: s.cfg.Arch, Workers: workers, Ctx: ctx}
-		results, _ := rn.Run(jobs)
-		for j, rr := range results {
-			i := jobCell[j]
-			if rr.Err != nil {
-				resp.Cells[i].Error = rr.Err.Error()
-				continue
+			if err != nil {
+				cell.Error = fmt.Sprintf("job %q: %v", cell.Key, err)
 			}
-			resp.Cells[i].Result = rr.Res
-		}
-		return outcome{body: resp}
+			return cell, nil
+		})
+		return outcome{body: GridResponse{Cells: cells, Workers: workers}}
 	}}, nil
 }
 

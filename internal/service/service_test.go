@@ -234,6 +234,47 @@ func TestGridSharesCaptures(t *testing.T) {
 	}
 }
 
+// One failing cell does not sink the grid: its error text names the cell,
+// and the other cells still carry results. The failure is a cached trace
+// captured at another scale than the cell asks to replay.
+func TestGridReportsCellFailure(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	entry, err := apps.Find("sssp-graph")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong, err := driver.CaptureTrace(s.cfg.Arch, entry.Factory, driver.Options{Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := Query{App: "sssp-graph", Model: "Insecure", Scale: 0.1, Seed: 11}
+	if !s.Cache().Seed(bad.key(entry), wrong) {
+		t.Fatal("seed refused")
+	}
+	req := GridRequest{Workers: 2, Cells: []Query{
+		bad,
+		{App: "sssp-graph", Model: "Insecure", Scale: 0.1, Seed: 12},
+		{App: "sssp-graph", Model: "IRONHIDE", Scale: 0.1, Seed: 12},
+	}}
+	resp, body := post(t, ts, "/v1/grid", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var gr GridResponse
+	if err := json.Unmarshal(body, &gr); err != nil {
+		t.Fatal(err)
+	}
+	want := `job "sssp-graph/Insecure": driver: trace captured at scale 0.05 cannot replay at scale 0.1`
+	if c := gr.Cells[0]; c.Error != want || c.Result != nil {
+		t.Fatalf("failing cell = %+v, want error %q", c, want)
+	}
+	for i, c := range gr.Cells[1:] {
+		if c.Error != "" || c.Result == nil || c.Result.CompletionCycles <= 0 {
+			t.Fatalf("cell %d (%s) lost its result: %+v", i+1, c.Key, c)
+		}
+	}
+}
+
 // Validation failures are 400s with JSON error bodies, before any
 // simulation runs.
 func TestBadRequests(t *testing.T) {
