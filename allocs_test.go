@@ -141,11 +141,13 @@ var allocOps = []allocOp{
 		if err != nil {
 			tb.Fatal(err)
 		}
-		part, err := sched.InterferenceAware{}.Partition(res, []int{16, 16})
+		cotenants, err := sched.InterferenceAware{}.Partition(res, []int{16, 16})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		cotenants := part.CoTenants(tenants)
+		for i := range cotenants {
+			cotenants[i].Trace = tenants[i].Trace
+		}
 		return func() {
 			co, err := driver.CoRunTraces(cfg, cotenants, driver.CoRunOptions{Scale: 0.05, SecureCores: res.SecureCores, Seed: 42})
 			if err != nil {

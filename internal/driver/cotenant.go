@@ -132,12 +132,12 @@ type coTenantState struct {
 // pipeline frontier so the tenants' memory traffic contends on the shared
 // L2 slices, memory controllers, and mesh links in deterministic order.
 func CoRunTraces(cfg arch.Config, tenants []CoTenant, opts CoRunOptions) (*CoRunResult, error) {
-	if err := validateCoTenants(cfg, tenants, opts); err != nil {
-		return nil, err
-	}
 	secCores := opts.SecureCores
 	if secCores <= 0 {
 		secCores = cfg.Cores() / 2
+	}
+	if err := validateCoTenants(cfg, tenants, secCores, opts); err != nil {
+		return nil, err
 	}
 
 	m, err := AcquireMachine(cfg)
@@ -282,11 +282,11 @@ func orSlices(s, def []cache.SliceID) []cache.SliceID {
 	return s
 }
 
-// validateCoTenants rejects ill-formed co-run requests: no tenants, scale
-// mismatches, core sets outside their clusters, or overlapping core sets
-// (space sharing means *disjoint* sub-gangs; slices and regions may
-// overlap, cores may not).
-func validateCoTenants(cfg arch.Config, tenants []CoTenant, opts CoRunOptions) error {
+// validateCoTenants rejects ill-formed co-run requests over a secure
+// cluster of secCores cores: no tenants, scale mismatches, core sets
+// outside their clusters, or overlapping core sets (space sharing means
+// *disjoint* sub-gangs; slices and regions may overlap, cores may not).
+func validateCoTenants(cfg arch.Config, tenants []CoTenant, secCores int, opts CoRunOptions) error {
 	if len(tenants) == 0 {
 		return fmt.Errorf("driver: co-run needs at least one tenant")
 	}
@@ -295,10 +295,6 @@ func validateCoTenants(cfg arch.Config, tenants []CoTenant, opts CoRunOptions) e
 	}
 	if opts.Active != nil && len(opts.Active) != len(tenants) {
 		return fmt.Errorf("driver: active mask covers %d of %d tenants", len(opts.Active), len(tenants))
-	}
-	secCores := opts.SecureCores
-	if secCores <= 0 {
-		secCores = cfg.Cores() / 2
 	}
 	if secCores < 1 || secCores > cfg.Cores()-1 {
 		return fmt.Errorf("driver: secure cluster of %d cores leaves a cluster empty", secCores)

@@ -22,10 +22,10 @@ type TenantRun struct {
 	CompletionCycles int64   `json:"completion_cycles"`
 	RouteViolations  int64   `json:"route_violations"`
 
-	// Co-tenancy phases (Spec.CoTenancy) measure tenants co-resident on one
-	// machine instead of solo: SoloCycles is the tenant's single-active
-	// baseline on an identically initialized machine, Slowdown is
-	// CompletionCycles/SoloCycles, and LinkConflicts counts the tenant's NoC
+	// Co-tenancy phases (Spec.CoTenancy) copy the tenant's sched.Score:
+	// CompletionCycles is its co-resident completion, SoloCycles its
+	// single-active baseline on an identically initialized machine,
+	// Slowdown CompletionCycles/SoloCycles, and LinkConflicts its NoC
 	// contention events. All zero (and omitted) on time-shared phases.
 	SoloCycles    int64   `json:"solo_cycles,omitempty"`
 	Slowdown      float64 `json:"slowdown,omitempty"`
@@ -68,7 +68,7 @@ type Phase struct {
 
 	Runs []TenantRun `json:"runs"`
 
-	// Co-tenancy phases: the packing policy that produced the partition,
+	// Co-tenancy phases copy the packing policy's sched.Score: the policy,
 	// the co-run's shared-horizon end (which replaces the serialized sum in
 	// PhaseCycles), and the co-run machine's route-violation count. All
 	// zero-valued (and omitted) on time-shared phases.

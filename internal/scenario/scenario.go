@@ -17,7 +17,9 @@
 // Resident tenants then time-share the secure cluster for the phase, with
 // context-switch purges charged between mutually distrusting secure
 // processes, and each tenant's completion measured by replaying its
-// captured trace at the installed binding.
+// captured trace at the installed binding. With Spec.CoTenancy they
+// space-share it instead, each phase scored by sched.Score, the scorer of
+// the joint search.
 //
 // The engine is a determinism test surface: an identical Spec (same seed)
 // yields a byte-identical Report JSON at any worker count, under the race
@@ -100,11 +102,12 @@ type Spec struct {
 	// Timeline, when non-empty, replaces the generated event schedule.
 	Timeline []Event `json:"timeline,omitempty"`
 	// CoTenancy space-shares the secure cluster instead of time-sharing
-	// it: each phase partitions the machine between the resident tenants
-	// under the packing Policy (via the joint scheduler) and replays all
-	// their traces simultaneously on one machine, measuring the real
-	// interference through the shared L2 slices, memory controllers, and
-	// mesh links. Requires the IRONHIDE model.
+	// it: each phase is scored by the joint scheduler's sched.Score, which
+	// partitions the machine between the resident tenants under the
+	// packing Policy and replays all their traces simultaneously on one
+	// machine, measuring the real interference through the shared L2
+	// slices, memory controllers, and mesh links. Requires the IRONHIDE
+	// model.
 	CoTenancy bool `json:"cotenancy,omitempty"`
 	// Policy names the packing policy co-tenancy phases partition with:
 	// best-fit, interference-aware (default), or fairness-floor.
@@ -791,80 +794,50 @@ func (e *engine) runTenants(index int, ph *Phase) error {
 	return nil
 }
 
-// runCoTenants measures a co-tenancy phase: the joint scheduler's packing
-// policy partitions the machine between the resident tenants (demand =
-// each tenant's searched binding scaled by its load weight), every
-// tenant's trace replays simultaneously on one machine, and each tenant
-// gets a single-active baseline co-run on an identically initialized
-// machine so the report carries measured slowdowns. The fully active
-// co-run and the baselines fan out over the worker pool; results are
+// runCoTenants measures a co-tenancy phase with the joint scheduler's
+// scorer: the packing policy partitions the machine between the resident
+// tenants (demand = each tenant's searched binding scaled by its load
+// weight), every tenant's trace replays simultaneously on one machine,
+// and each tenant's single-active baseline gives its measured slowdown.
+// The scorer's co-runs fan out over the worker pool; results are
 // identical at any worker count.
 func (e *engine) runCoTenants(index int, ph *Phase) error {
 	pols, err := sched.PolicyByName(e.spec.policy())
 	if err != nil {
 		return err
 	}
-	pol := pols[0]
-	res, err := sched.MachineResources(e.cfg, e.binding)
-	if err != nil {
-		return err
-	}
-	n := len(e.tenants)
-	demands := make([]int, n)
-	schedTenants := make([]sched.Tenant, n)
+	demands := make([]int, len(e.tenants))
+	tenants := make([]sched.Tenant, len(e.tenants))
 	for i, t := range e.tenants {
-		d := int(t.weight*float64(t.binding) + 0.5)
-		if d < 1 {
-			d = 1
-		}
-		demands[i] = d
-		schedTenants[i] = sched.Tenant{Name: t.entry.Alias, Trace: t.tr}
+		demands[i] = int(t.weight*float64(t.binding) + 0.5)
+		tenants[i] = sched.Tenant{Name: t.entry.Alias, Trace: t.tr}
 	}
-	part, err := pol.Partition(res, demands)
-	if err != nil {
-		return err
-	}
-	coTenants := part.CoTenants(schedTenants)
-
-	// Job 0 is the fully active co-run; job i+1 is tenant i's baseline.
-	jobs := make([]int, n+1)
-	for i := range jobs {
-		jobs[i] = i - 1
-	}
-	results, err := runner.Map(e.opts.Workers, jobs, func(_ int, active int) (*driver.CoRunResult, error) {
-		opts := driver.CoRunOptions{
-			Scale:       e.spec.scale(),
-			SecureCores: e.binding,
-			Seed:        e.spec.seed(),
-		}
-		if active >= 0 {
-			opts.Active = make([]bool, n)
-			opts.Active[active] = true
-		}
-		return driver.CoRunTraces(e.cfg, coTenants, opts)
+	scores, err := sched.Score(e.cfg, tenants, demands, sched.Options{
+		Scale:       e.spec.scale(),
+		SecureCores: e.binding,
+		Workers:     e.opts.Workers,
+		Seed:        e.spec.seed(),
+		Policies:    pols,
 	})
 	if err != nil {
 		return err
 	}
-	co := results[0]
-	ph.Policy = pol.Name()
-	ph.CoRunCycles = co.TotalCycles
-	ph.CoRouteViolations = co.RouteViolations
+	score := scores[0]
+	ph.Policy = score.Policy
+	ph.CoRunCycles = score.TotalCycles
+	ph.CoRouteViolations = score.RouteViolations
 	for i, t := range e.tenants {
-		solo := results[i+1].Tenants[i].CompletionCycles
-		run := TenantRun{
-			App:              t.entry.Alias,
+		ts := score.Tenants[i]
+		ph.Runs = append(ph.Runs, TenantRun{
+			App:              ts.App,
 			Weight:           t.weight,
 			Seed:             runner.SeedFor(e.spec.seed(), index*64+i+1),
-			SecureCores:      co.Tenants[i].SecureCores,
-			CompletionCycles: co.Tenants[i].CompletionCycles,
-			SoloCycles:       solo,
-			LinkConflicts:    co.Tenants[i].LinkConflicts,
-		}
-		if solo > 0 {
-			run.Slowdown = float64(run.CompletionCycles) / float64(solo)
-		}
-		ph.Runs = append(ph.Runs, run)
+			SecureCores:      ts.SecureCores,
+			CompletionCycles: ts.CoCycles,
+			SoloCycles:       ts.SoloCycles,
+			Slowdown:         ts.Slowdown,
+			LinkConflicts:    ts.LinkConflicts,
+		})
 	}
 	return nil
 }

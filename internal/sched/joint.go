@@ -81,6 +81,9 @@ type PolicyScore struct {
 
 	TotalCycles   int64 `json:"total_cycles"`
 	LinkConflicts int64 `json:"link_conflicts"`
+	// RouteViolations counts the co-run's accesses that left their
+	// cluster's routes; contained routing keeps it 0.
+	RouteViolations int64 `json:"route_violations,omitempty"`
 	// L2MissDelta is the co-run's shared-cache misses minus the sum of the
 	// solo baselines' — the cache interference the partition admitted.
 	L2MissDelta int64 `json:"l2_miss_delta"`
@@ -101,30 +104,23 @@ type Report struct {
 }
 
 // JointSearch partitions the machine between the tenants under every
-// candidate policy, scores each partition by co-running all tenants'
-// traces on one machine (plus one single-active baseline co-run per
-// tenant, on an identically initialized machine), and returns the policies
-// ranked by measured throughput and fairness.
+// candidate policy, seeding each partition with the tenants' solo binding
+// demands, scores every partition by co-running (see Score), and returns
+// the policies ranked by measured throughput and fairness.
 func JointSearch(cfg arch.Config, tenants []Tenant, opts Options) (*Report, error) {
 	if len(tenants) < 2 {
 		return nil, fmt.Errorf("sched: joint search needs at least two tenants, got %d", len(tenants))
 	}
-	for i, t := range tenants {
-		if t.Trace == nil {
-			return nil, fmt.Errorf("sched: tenant %d (%s) has no trace", i, t.Name)
-		}
-		if t.Trace.Scale != opts.scale() {
-			return nil, fmt.Errorf("sched: tenant %d (%s) captured at scale %g cannot joint-search at scale %g", i, t.Name, t.Trace.Scale, opts.scale())
-		}
+	if err := checkTenants(tenants, opts.scale()); err != nil {
+		return nil, err
 	}
-
 	res, err := MachineResources(cfg, opts.SecureCores)
 	if err != nil {
 		return nil, err
 	}
 
-	// Phase 1: each tenant's solo binding demand — the cluster size the
-	// paper's heuristic search would give it alone — seeds the packing.
+	// Each tenant's solo binding demand — the cluster size the paper's
+	// heuristic search would give it alone — seeds the packing.
 	demands, err := runner.Map(opts.Workers, tenants, func(i int, t Tenant) (int, error) {
 		sr, err := driver.SearchTrace(cfg, core.New(res.SecureCores), t.Trace, driver.Options{
 			Scale:     opts.scale(),
@@ -140,19 +136,57 @@ func JointSearch(cfg arch.Config, tenants []Tenant, opts Options) (*Report, erro
 		return nil, err
 	}
 
-	// Phase 2: partition under every policy, then score every partition by
-	// co-running. Each policy needs 1 fully-active co-run plus one
-	// single-active baseline per tenant; all (policy, run) cells are
-	// independent and fan out over one ordered pool.
+	scores, err := Score(cfg, tenants, demands, opts)
+	if err != nil {
+		return nil, err
+	}
+	rankPolicies(scores)
+	report := &Report{
+		Name:        "cotenancy",
+		Scale:       opts.scale(),
+		SecureCores: res.SecureCores,
+		Seed:        opts.seed(),
+		Best:        scores[0].Policy,
+		Policies:    scores,
+	}
+	for _, t := range tenants {
+		report.Apps = append(report.Apps, t.Name)
+	}
+	report.Title = fmt.Sprintf("Joint scheduler: space-shared co-tenancy of %d tenants (%d secure cores, scale %g)",
+		len(report.Apps), report.SecureCores, report.Scale)
+	return report, nil
+}
+
+// Score partitions the machine between the tenants under each policy in
+// opts, given each tenant's core demand (one per tenant), and measures every partition: one
+// co-run of all tenants' traces on one machine, plus one single-active
+// baseline co-run per tenant on an identically initialized machine. All
+// (policy, run) cells fan out over one ordered pool, so the scores — in
+// opts' policy order — are byte-identical at any worker count. A single
+// tenant is scored against its own baseline.
+func Score(cfg arch.Config, tenants []Tenant, demands []int, opts Options) ([]PolicyScore, error) {
+	if err := checkTenants(tenants, opts.scale()); err != nil {
+		return nil, err
+	}
+	res, err := MachineResources(cfg, opts.SecureCores)
+	if err != nil {
+		return nil, err
+	}
 	policies := opts.policies()
-	parts := make([]Partition, len(policies))
+	parts := make([][]driver.CoTenant, len(policies))
 	for i, p := range policies {
-		part, err := p.Partition(res, demands)
+		shares, err := p.Partition(res, demands)
 		if err != nil {
 			return nil, fmt.Errorf("sched: policy %s: %w", p.Name(), err)
 		}
-		parts[i] = part
+		for ti := range shares {
+			shares[ti].Trace = tenants[ti].Trace
+		}
+		parts[i] = shares
 	}
+
+	// Each policy needs 1 fully-active co-run plus one single-active
+	// baseline per tenant; all cells are independent.
 	type cell struct{ policy, active int } // active -1 = all tenants
 	var cells []cell
 	for pi := range policies {
@@ -177,9 +211,9 @@ func JointSearch(cfg arch.Config, tenants []Tenant, opts Options) (*Report, erro
 			co.Active = make([]bool, len(tenants))
 			co.Active[c.active] = true
 		}
-		r, err := driver.CoRunTraces(cfg, parts[c.policy].CoTenants(tenants), co)
+		r, err := driver.CoRunTraces(cfg, parts[c.policy], co)
 		if err != nil {
-			return nil, fmt.Errorf("sched: policy %s: %w", parts[c.policy].Policy, err)
+			return nil, fmt.Errorf("sched: policy %s: %w", policies[c.policy].Name(), err)
 		}
 		return r, nil
 	})
@@ -187,18 +221,11 @@ func JointSearch(cfg arch.Config, tenants []Tenant, opts Options) (*Report, erro
 		return nil, err
 	}
 
-	report := &Report{
-		Scale:       opts.scale(),
-		SecureCores: res.SecureCores,
-		Seed:        opts.seed(),
-	}
-	for _, t := range tenants {
-		report.Apps = append(report.Apps, t.Name)
-	}
+	scores := make([]PolicyScore, len(policies))
 	stride := 1 + len(tenants)
 	for pi, p := range policies {
 		coRun := runs[pi*stride]
-		score := PolicyScore{Policy: p.Name(), TotalCycles: coRun.TotalCycles}
+		score := PolicyScore{Policy: p.Name(), TotalCycles: coRun.TotalCycles, RouteViolations: coRun.RouteViolations}
 		var soloL2 int64
 		minRate, maxRate := 0.0, 0.0
 		for ti := range tenants {
@@ -232,14 +259,23 @@ func JointSearch(cfg arch.Config, tenants []Tenant, opts Options) (*Report, erro
 			score.Fairness = minRate / maxRate
 		}
 		score.L2MissDelta = coRun.L2Misses - soloL2
-		report.Policies = append(report.Policies, score)
+		scores[pi] = score
 	}
-	rankPolicies(report.Policies)
-	report.Best = report.Policies[0].Policy
-	report.Name = "cotenancy"
-	report.Title = fmt.Sprintf("Joint scheduler: space-shared co-tenancy of %d tenants (%d secure cores, scale %g)",
-		len(report.Apps), report.SecureCores, report.Scale)
-	return report, nil
+	return scores, nil
+}
+
+// checkTenants rejects tenants without a trace or captured at another
+// scale than the one they are scored at.
+func checkTenants(tenants []Tenant, scale float64) error {
+	for i, t := range tenants {
+		if t.Trace == nil {
+			return fmt.Errorf("sched: tenant %d (%s) has no trace", i, t.Name)
+		}
+		if t.Trace.Scale != scale {
+			return fmt.Errorf("sched: tenant %d (%s) captured at scale %g cannot joint-search at scale %g", i, t.Name, t.Trace.Scale, scale)
+		}
+	}
+	return nil
 }
 
 // ReportName implements metrics.Tabular.

@@ -1,19 +1,20 @@
 // Package sched is the joint scheduler for space-shared co-tenancy: given
 // several distrusting tenants that want the secure cluster at once, it
-// enumerates candidate partitions of the machine — disjoint sub-gangs of
-// cores plus L2-slice and DRAM-region shares — under pluggable packing
-// policies, scores each partition by actually co-running the tenants'
-// traces on one machine (real interference through the shared memory
-// system, not an analytic estimate), and ranks the policies by aggregate
-// throughput and fairness.
+// partitions the machine — disjoint sub-gangs of cores plus L2-slice and
+// DRAM-region shares, one driver.CoTenant per tenant — under pluggable
+// packing policies, scores each partition by actually co-running the
+// tenants' traces on one machine (real interference through the shared
+// memory system, not an analytic estimate), and ranks the policies by
+// aggregate throughput and fairness.
 //
 // The paper's single-tenant flow picks one cluster binding per
 // application; the joint scheduler generalizes that search to a partition
-// of the secure cluster. Each tenant's solo binding demand (the paper's
-// heuristic search) seeds the partitioning; the co-run scores close the
-// loop with measured slowdowns. Everything is deterministic: per-tenant
-// demand searches and per-partition co-runs fan out over the ordered
-// runner, so a joint search is byte-identical at any worker count.
+// of the secure cluster. Score is the one co-run scorer: JointSearch (the
+// cotenancy experiment and /v1/joint) seeds it with each tenant's solo
+// binding demand, and a co-tenant scenario phase with its weighted
+// demands. Everything is deterministic: demand searches and co-runs fan
+// out over the ordered runner, so scores are byte-identical at any worker
+// count.
 package sched
 
 import (
@@ -34,45 +35,6 @@ import (
 type Tenant struct {
 	Name  string
 	Trace *trace.Trace
-}
-
-// Share is one tenant's slice of the machine under a candidate partition.
-// Core sets are always disjoint across tenants; slice and region sets may
-// be shared (nil = the whole cluster's), depending on the policy.
-type Share struct {
-	SecureCores   []arch.CoreID
-	InsecureCores []arch.CoreID
-
-	SecureSlices   []cache.SliceID
-	InsecureSlices []cache.SliceID
-
-	SecureRegions   []int
-	InsecureRegions []int
-}
-
-// Partition assigns every tenant a Share under one policy.
-type Partition struct {
-	Policy string
-	Shares []Share
-}
-
-// CoTenants binds the partition's shares to the tenants' traces, ready
-// for driver.CoRunTraces.
-func (p Partition) CoTenants(tenants []Tenant) []driver.CoTenant {
-	out := make([]driver.CoTenant, len(tenants))
-	for i, t := range tenants {
-		s := p.Shares[i]
-		out[i] = driver.CoTenant{
-			Trace:           t.Trace,
-			SecureCores:     s.SecureCores,
-			InsecureCores:   s.InsecureCores,
-			SecureSlices:    s.SecureSlices,
-			InsecureSlices:  s.InsecureSlices,
-			SecureRegions:   s.SecureRegions,
-			InsecureRegions: s.InsecureRegions,
-		}
-	}
-	return out
 }
 
 // Resources describes what a partition divides: the machine geometry, the
@@ -112,10 +74,22 @@ func MachineResources(cfg arch.Config, secureCores int) (Resources, error) {
 	}, nil
 }
 
-// Policy turns per-tenant core demands into a candidate partition.
+// Holds returns an error unless n tenants can each hold a core in both
+// clusters, as every policy's partition requires.
+func (r Resources) Holds(n int) error {
+	if ins := r.Cfg.Cores() - r.SecureCores; n > r.SecureCores || n > ins {
+		return fmt.Errorf("sched: %d tenants cannot each hold a core in clusters of %d+%d", n, r.SecureCores, ins)
+	}
+	return nil
+}
+
+// Policy turns per-tenant core demands into a candidate partition: one
+// driver.CoTenant share per tenant, with no trace bound yet. Core sets are
+// always disjoint across tenants; slice and region sets may be shared (nil
+// = the whole cluster's), depending on the policy.
 type Policy interface {
 	Name() string
-	Partition(res Resources, demands []int) (Partition, error)
+	Partition(res Resources, demands []int) ([]driver.CoTenant, error)
 }
 
 // Policies returns the built-in packing policies in comparison order.
@@ -144,16 +118,16 @@ type BestFit struct{}
 
 func (BestFit) Name() string { return "best-fit" }
 
-func (BestFit) Partition(res Resources, demands []int) (Partition, error) {
+func (BestFit) Partition(res Resources, demands []int) ([]driver.CoTenant, error) {
 	secShares, insShares, err := coreShares(res, demands, true)
 	if err != nil {
-		return Partition{}, err
+		return nil, err
 	}
-	p := Partition{Policy: "best-fit", Shares: make([]Share, len(demands))}
+	shares := make([]driver.CoTenant, len(demands))
 	for i := range demands {
-		p.Shares[i] = Share{SecureCores: secShares[i], InsecureCores: insShares[i]}
+		shares[i] = driver.CoTenant{SecureCores: secShares[i], InsecureCores: insShares[i]}
 	}
-	return p, nil
+	return shares, nil
 }
 
 // InterferenceAware packs cores proportionally to demand like BestFit but
@@ -166,12 +140,12 @@ type InterferenceAware struct{}
 
 func (InterferenceAware) Name() string { return "interference-aware" }
 
-func (InterferenceAware) Partition(res Resources, demands []int) (Partition, error) {
+func (InterferenceAware) Partition(res Resources, demands []int) ([]driver.CoTenant, error) {
 	secShares, insShares, err := coreShares(res, demands, true)
 	if err != nil {
-		return Partition{}, err
+		return nil, err
 	}
-	return isolatedShares("interference-aware", res, secShares, insShares), nil
+	return isolatedShares(res, secShares, insShares), nil
 }
 
 // FairnessFloor gives every tenant an equal core count regardless of
@@ -181,23 +155,23 @@ type FairnessFloor struct{}
 
 func (FairnessFloor) Name() string { return "fairness-floor" }
 
-func (FairnessFloor) Partition(res Resources, demands []int) (Partition, error) {
+func (FairnessFloor) Partition(res Resources, demands []int) ([]driver.CoTenant, error) {
 	secShares, insShares, err := coreShares(res, demands, false)
 	if err != nil {
-		return Partition{}, err
+		return nil, err
 	}
-	return isolatedShares("fairness-floor", res, secShares, insShares), nil
+	return isolatedShares(res, secShares, insShares), nil
 }
 
 // isolatedShares assembles shares with per-tenant co-located slices and
 // striped regions on top of the given core split.
-func isolatedShares(policy string, res Resources, secShares, insShares [][]arch.CoreID) Partition {
+func isolatedShares(res Resources, secShares, insShares [][]arch.CoreID) []driver.CoTenant {
 	n := len(secShares)
 	secRegions := stripeRegions(res.SecureRegions, n)
 	insRegions := stripeRegions(res.InsecureRegions, n)
-	p := Partition{Policy: policy, Shares: make([]Share, n)}
+	shares := make([]driver.CoTenant, n)
 	for i := 0; i < n; i++ {
-		s := Share{SecureCores: secShares[i], InsecureCores: insShares[i]}
+		s := driver.CoTenant{SecureCores: secShares[i], InsecureCores: insShares[i]}
 		s.SecureSlices = colocatedSlices(secShares[i])
 		s.InsecureSlices = colocatedSlices(insShares[i])
 		if secRegions != nil {
@@ -206,21 +180,21 @@ func isolatedShares(policy string, res Resources, secShares, insShares [][]arch.
 		if insRegions != nil {
 			s.InsecureRegions = insRegions[i]
 		}
-		p.Shares[i] = s
+		shares[i] = s
 	}
-	return p
+	return shares
 }
 
 // coreShares splits both clusters' cores into per-tenant contiguous
 // chunks, sized proportionally to demand (D'Hondt rounds, every tenant at
 // least one core) or equally.
 func coreShares(res Resources, demands []int, proportional bool) (sec, ins [][]arch.CoreID, err error) {
+	if err := res.Holds(len(demands)); err != nil {
+		return nil, nil, err
+	}
 	n := len(demands)
 	secTotal := res.SecureCores
 	insTotal := res.Cfg.Cores() - res.SecureCores
-	if n > secTotal || n > insTotal {
-		return nil, nil, fmt.Errorf("sched: %d tenants cannot each hold a core in clusters of %d+%d", n, secTotal, insTotal)
-	}
 	var secCounts, insCounts []int
 	if proportional {
 		secCounts = apportion(secTotal, demands)

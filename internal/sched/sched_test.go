@@ -99,16 +99,16 @@ func TestPoliciesProduceValidPartitions(t *testing.T) {
 		t.Fatalf("no regions discovered: %+v", res)
 	}
 	for _, pol := range Policies() {
-		part, err := pol.Partition(res, []int{20, 12, 5})
+		shares, err := pol.Partition(res, []int{20, 12, 5})
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
-		if len(part.Shares) != 3 {
-			t.Fatalf("%s: %d shares", pol.Name(), len(part.Shares))
+		if len(shares) != 3 {
+			t.Fatalf("%s: %d shares", pol.Name(), len(shares))
 		}
 		seen := map[arch.CoreID]bool{}
 		var secTotal, insTotal int
-		for i, s := range part.Shares {
+		for i, s := range shares {
 			if len(s.SecureCores) == 0 || len(s.InsecureCores) == 0 {
 				t.Fatalf("%s: tenant %d starved of cores", pol.Name(), i)
 			}
@@ -132,13 +132,13 @@ func TestPoliciesProduceValidPartitions(t *testing.T) {
 		}
 	}
 	// The fairness floor ignores demand skew.
-	part, err := FairnessFloor{}.Partition(res, []int{30, 1})
+	shares, err := FairnessFloor{}.Partition(res, []int{30, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(part.Shares[0].SecureCores) != len(part.Shares[1].SecureCores) {
+	if len(shares[0].SecureCores) != len(shares[1].SecureCores) {
 		t.Fatalf("fairness-floor gave unequal shares: %d vs %d",
-			len(part.Shares[0].SecureCores), len(part.Shares[1].SecureCores))
+			len(shares[0].SecureCores), len(shares[1].SecureCores))
 	}
 }
 
@@ -195,6 +195,28 @@ func TestJointSearchDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if len(rep.Sections()) != 1+len(rep.Policies) {
 		t.Fatalf("unexpected section count %d", len(rep.Sections()))
+	}
+}
+
+// Score accepts a lone tenant, as a one-tenant scenario phase needs: the
+// fully active co-run is then the tenant's own baseline under any policy.
+func TestScoreSingleTenant(t *testing.T) {
+	cfg := arch.TileGx72()
+	scores, err := Score(cfg, testTenants(t, cfg)[:1], []int{16}, Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scores) != len(Policies()) {
+		t.Fatalf("%d policies scored", len(scores))
+	}
+	for _, p := range scores {
+		if len(p.Tenants) != 1 {
+			t.Fatalf("%s: %d tenant scores", p.Policy, len(p.Tenants))
+		}
+		ts := p.Tenants[0]
+		if ts.SoloCycles <= 0 || ts.CoCycles != ts.SoloCycles || ts.Slowdown != 1 || p.RouteViolations != 0 {
+			t.Fatalf("%s: a lone tenant interfered with itself: %+v, %d route violations", p.Policy, ts, p.RouteViolations)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -56,6 +57,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add(body)
 		f.Add(append(bytes.Clone(body), "{}"...))
 		f.Add(body[:len(body)/2])
+	}
+	// Out-of-range /v1/joint secure clusters: no insecure core, off the
+	// mesh, negative, and a core short for the second tenant.
+	for _, cores := range []int{64, 100, -1, 1} {
+		f.Add(fmt.Appendf(nil, `{"apps":["aes-query","sssp-graph"],"scale":0.02,"secure_cores":%d}`, cores))
 	}
 	f.Add([]byte(`{"app":"nope","model":"IRONHIDE","timeout_ms":18446744073710}`))
 	f.Add([]byte(`null`))

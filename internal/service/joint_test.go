@@ -63,9 +63,10 @@ func TestJointEndpointDeterministic(t *testing.T) {
 }
 
 // TestJointEndpointValidation: malformed joint requests fail fast with 400
-// before any simulation runs.
+// before admission, so no trace is resolved and no simulation runs.
 func TestJointEndpointValidation(t *testing.T) {
-	_, ts := testServer(t, Config{Arch: arch.TileGx72Scaled(12)})
+	s, ts := testServer(t, Config{Arch: arch.TileGx72Scaled(12), AdmitCapacity: 1})
+	pair := []string{"aes-query", "sssp-graph"}
 	cases := []struct {
 		name string
 		req  JointRequest
@@ -73,12 +74,22 @@ func TestJointEndpointValidation(t *testing.T) {
 		{"one tenant", JointRequest{Apps: []string{"aes-query"}}},
 		{"too many tenants", JointRequest{Apps: make([]string, MaxJointTenants+1)}},
 		{"unknown app", JointRequest{Apps: []string{"aes-query", "nope"}}},
-		{"unknown policy", JointRequest{Apps: []string{"aes-query", "sssp-graph"}, Policy: "bogus"}},
+		{"unknown policy", JointRequest{Apps: pair, Policy: "bogus"}},
+		{"secure cluster leaves no insecure core", JointRequest{Apps: pair, Scale: 0.02, SecureCores: 64}},
+		{"secure cluster larger than the mesh", JointRequest{Apps: pair, Scale: 0.02, SecureCores: 100}},
+		{"negative secure cluster", JointRequest{Apps: pair, Scale: 0.02, SecureCores: -1}},
+		{"a secure core short per tenant", JointRequest{Apps: pair, Scale: 0.02, SecureCores: 1}},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts, "/v1/joint", tc.req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d: %s", tc.name, resp.StatusCode, body)
 		}
+	}
+	if st := s.gate.stats(); st.Admitted != 0 {
+		t.Fatalf("%d bad requests were admitted", st.Admitted)
+	}
+	if st := s.Cache().Stats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("bad requests resolved traces: %+v", st)
 	}
 }

@@ -794,7 +794,8 @@ type JointRequest struct {
 	Apps []string `json:"apps"`
 	// Scale multiplies round counts for captures and co-runs.
 	Scale float64 `json:"scale,omitempty"`
-	// SecureCores is the secure-cluster size to partition (0 = half).
+	// SecureCores is the secure-cluster size to partition (0 = half). It
+	// must leave each cluster at least one core per tenant.
 	SecureCores int `json:"secure_cores,omitempty"`
 	// Policy compares only the named packing policy ("" = every policy).
 	Policy string `json:"policy,omitempty"`
@@ -823,6 +824,16 @@ func (s *Server) jointPlan(req *JointRequest) (plan, error) {
 	}
 	policies, err := sched.PolicyByName(req.Policy)
 	if err != nil {
+		return plan{}, err
+	}
+	if req.SecureCores < 0 {
+		return plan{}, fmt.Errorf("secure_cores %d must be 0 (half the machine) or a cluster size", req.SecureCores)
+	}
+	res, err := sched.MachineResources(s.cfg.Arch, req.SecureCores)
+	if err != nil {
+		return plan{}, fmt.Errorf("secure_cores: %w", err)
+	}
+	if err := res.Holds(len(entries)); err != nil {
 		return plan{}, err
 	}
 	return plan{timeoutMs: req.TimeoutMs, work: func(ctx context.Context) outcome {
