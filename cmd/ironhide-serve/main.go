@@ -59,7 +59,7 @@ func main() {
 	addr := flag.String("addr", ":8372", "listen address")
 	dilation := flag.Int64("dilation", 12, "protocol-constant dilation divisor (1 = full-fidelity per-event costs)")
 	cacheTraces := flag.Int("cache", 16, "trace-cache capacity (distinct app/scale/seed captures held)")
-	gridWorkers := flag.Int("grid-workers", runtime.NumCPU(), "worker pool bound for /v1/grid fan-outs")
+	gridWorkers := flag.Int("grid-workers", runtime.NumCPU(), "worker pool bound for /v1/grid fan-outs and for each query's search_workers")
 	timeout := flag.Duration("timeout", 60*time.Second, "default per-request deadline (requests may override via timeout_ms)")
 	storeDir := flag.String("store", "", "persistent trace-store directory (empty = memory only)")
 	admit := flag.Int("admit", 0, "max concurrently executing simulation requests (0 = no admission gate)")

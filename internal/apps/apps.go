@@ -7,10 +7,11 @@
 //	OS-level:   <MEMCACHED, OS>, <LIGHTTPD, OS>
 //
 // Each factory builds a completely fresh application instance (fresh
-// process state, identical seeds), which the driver needs for its
-// profiling probes. Round counts are scaled-down stand-ins for the paper's
-// input counts (13.3K inputs averaged per user app; 2M memcached requests;
-// 1M lighttpd fetches); the Scale option trades fidelity for run time.
+// process state, identical seeds) for driver.CaptureTrace to record once;
+// binding-search probes and measured runs replay that trace. Round counts
+// are scaled-down stand-ins for the paper's input counts (13.3K inputs
+// averaged per user app; 2M memcached requests; 1M lighttpd fetches); the
+// Scale option trades fidelity for run time.
 package apps
 
 import (

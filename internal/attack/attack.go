@@ -18,8 +18,11 @@
 package attack
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"ironhide/internal/arch"
 	"ironhide/internal/enclave"
@@ -76,6 +79,44 @@ func evictionSets(m *sim.Machine, buf sim.Buffer) map[[2]int][]lineRef {
 	return out
 }
 
+// target is one (slice, set) the receiver primes and probes: its own
+// eviction set, and the sender's colliding one (nil when none exists).
+type target struct{ recv, send []lineRef }
+
+// channelTargets allocates the receiver's probe arena and the sender's
+// signal arena on a configured machine and picks the channel's targets
+// from them.
+func channelTargets(m *sim.Machine) []target {
+	recvBuf := m.NewSpace("attacker", arch.Insecure).Alloc("probe-arena", 2<<20)
+	sendBuf := m.NewSpace("victim", arch.Secure).Alloc("signal-arena", 2<<20)
+	return chooseTargets(evictionSets(m, recvBuf), evictionSets(m, sendBuf), m.Cfg.L2Ways)
+}
+
+// chooseTargets picks up to 8 (slice, set) targets where both sides
+// control a full eviction set of ways lines, in ascending (slice, set)
+// order, so the choice depends on the machine alone. With no collision,
+// the attacker still probes the first full set of its own arena; the
+// trials then see pure noise, as they must under strong isolation.
+func chooseTargets(recvSets, sendSets map[[2]int][]lineRef, ways int) []target {
+	keys := slices.SortedFunc(maps.Keys(recvSets), func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	var targets, own []target
+	for _, key := range keys {
+		rl, sl := recvSets[key], sendSets[key]
+		if len(rl) >= ways && own == nil {
+			own = []target{{recv: rl[:ways]}}
+		}
+		if len(rl) >= ways && len(sl) >= ways && len(targets) < 8 {
+			targets = append(targets, target{recv: rl[:ways], send: sl[:ways]})
+		}
+	}
+	if targets == nil {
+		return own
+	}
+	return targets
+}
+
 // CovertChannel mounts the channel under the given model and returns the
 // recovered-bit statistics. The secret is a deterministic pseudo-random
 // bit string derived from seed.
@@ -87,39 +128,21 @@ func CovertChannel(model enclave.Model, trials int, seed int64) (Result, error) 
 	if err := model.Configure(m); err != nil {
 		return Result{}, err
 	}
-	res := Result{Model: model.Name(), Trials: trials}
-
-	recvSpace := m.NewSpace("attacker", arch.Insecure)
-	sendSpace := m.NewSpace("victim", arch.Secure)
-	recvBuf := recvSpace.Alloc("probe-arena", 2<<20)
-	sendBuf := sendSpace.Alloc("signal-arena", 2<<20)
-
-	ways := m.Cfg.L2Ways
-	res.ProbeBudget = ways
-
-	recvSets := evictionSets(m, recvBuf)
-	sendSets := evictionSets(m, sendBuf)
-
-	// Find targets where both sides control a full eviction set.
-	type target struct{ recv, send []lineRef }
-	var targets []target
-	for key, rl := range recvSets {
-		sl := sendSets[key]
-		if len(rl) >= ways && len(sl) >= ways {
-			targets = append(targets, target{recv: rl[:ways], send: sl[:ways]})
-			if len(targets) >= 8 {
-				break
-			}
-		}
+	res := Result{Model: model.Name(), Trials: trials, ProbeBudget: m.Cfg.L2Ways}
+	targets := channelTargets(m)
+	if len(targets) == 0 {
+		return res, fmt.Errorf("attack: receiver cannot even build an eviction set")
 	}
-	res.Collisions = len(targets)
+	if targets[0].send != nil {
+		res.Collisions = len(targets)
+	}
 
 	// Core selection respects the model's geometry: the sender runs where
 	// secure threads run, the receiver on insecure cores.
 	senderCore := arch.CoreID(0)
 	primeCore := arch.CoreID(m.Cfg.Cores() - 2)
 	probeCore := arch.CoreID(m.Cfg.Cores() - 1)
-	if !model.Temporal() && model.StrongIsolation() {
+	if _, spatial := model.(enclave.Spatial); spatial && model.StrongIsolation() {
 		split := m.Split()
 		sec := split.Cores(noc.SecureCluster)
 		ins := split.Cores(noc.InsecureCluster)
@@ -148,21 +171,6 @@ func CovertChannel(model enclave.Model, trials int, seed int64) (Result, error) 
 			lat += d
 		}
 		return lat
-	}
-
-	// With no collision sets, the attacker still probes its own arena; the
-	// loop below then sees pure noise, as it must under strong isolation.
-	if len(targets) == 0 {
-		for key, rl := range recvSets {
-			if len(rl) >= ways {
-				targets = append(targets, target{recv: rl[:ways], send: nil})
-				_ = key
-				break
-			}
-		}
-		if len(targets) == 0 {
-			return res, fmt.Errorf("attack: receiver cannot even build an eviction set")
-		}
 	}
 
 	// Calibrate a per-target probe-latency threshold: primed-and-quiet

@@ -1,10 +1,13 @@
 package attack
 
 import (
+	"reflect"
 	"testing"
 
+	"ironhide/internal/arch"
 	"ironhide/internal/core"
 	"ironhide/internal/enclave"
+	"ironhide/internal/sim"
 )
 
 // TestCovertChannelDifferential is the differential security table: the
@@ -95,5 +98,38 @@ func TestResultAccessors(t *testing.T) {
 	}
 	if r.String() == "" {
 		t.Fatal("empty summary")
+	}
+}
+
+// TestCovertChannelTargetsArePure: the channel's (slice, set) targets are
+// a function of the machine alone. Five machines configured alike yield
+// the same target list, so a channel whose accuracy lies between chance
+// and 1.0 reports the same figure on every run.
+func TestCovertChannelTargetsArePure(t *testing.T) {
+	for _, model := range []enclave.Model{enclave.Insecure{}, core.New(32)} {
+		var want []target
+		for run := 0; run < 5; run++ {
+			m, err := sim.NewMachine(arch.TileGx72())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := model.Configure(m); err != nil {
+				t.Fatal(err)
+			}
+			got := channelTargets(m)
+			if len(got) == 0 {
+				t.Fatalf("%s: no targets", model.Name())
+			}
+			if run == 0 {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s run %d chose targets %v, run 0 chose %v", model.Name(), run, got, want)
+			}
+		}
+		if model.StrongIsolation() == (want[0].send != nil) {
+			t.Fatalf("%s: collision targets %v under strong isolation %v", model.Name(), want[0].send != nil, model.StrongIsolation())
+		}
 	}
 }

@@ -23,14 +23,14 @@ import (
 	"fmt"
 
 	"ironhide/internal/arch"
-	"ironhide/internal/cache"
 	"ironhide/internal/enclave"
 	"ironhide/internal/noc"
 	"ironhide/internal/sim"
 )
 
 // IronHide is the IRONHIDE security model. The zero value is not usable;
-// construct it with New.
+// construct it with New. It holds no per-run state: one value places and
+// moves the boundary of any number of machines at once.
 type IronHide struct {
 	initialSecureCores int
 }
@@ -51,28 +51,27 @@ func (ih *IronHide) StrongIsolation() bool { return true }
 // concurrently on their clusters.
 func (ih *IronHide) Temporal() bool { return false }
 
-// InitialSecureCores returns the configured starting cluster size.
-func (ih *IronHide) InitialSecureCores() int { return ih.initialSecureCores }
-
-// Configure implements enclave.Model: form the clusters, partition the
-// memory system, arm the hardware check, isolate the network.
+// Configure implements enclave.Model: Place at the initial secure size.
 func (ih *IronHide) Configure(m *sim.Machine) error {
-	split, err := ClusterSplit(ih.initialSecureCores, m.Cfg)
+	return ih.Place(m, ih.initialSecureCores)
+}
+
+// Place implements enclave.Spatial: form the clusters at secureCores,
+// partition the memory system, arm the hardware check, isolate the
+// network.
+func (ih *IronHide) Place(m *sim.Machine, secureCores int) error {
+	split, err := ClusterSplit(secureCores, m.Cfg)
 	if err != nil {
 		return err
 	}
-	if err := m.Part.AssignDomains(enclave.SecureControllerMask); err != nil {
+	if err := enclave.Isolate(m, secureCores); err != nil {
 		return err
 	}
-	m.SetSpecCheck(true)
-	m.SetHomePolicy(arch.Insecure, cache.NewLocalHome())
-	m.SetHomePolicy(arch.Secure, cache.NewLocalHome())
-	applySliceSplit(m, split)
 	m.SetSplit(split, true)
 	return nil
 }
 
-// ClusterSplit validates the two-cluster split Configure installs for a
+// ClusterSplit validates the two-cluster split Place installs for a
 // secure cluster of secureCores cores: it must fit the mesh and leave
 // both clusters at least one core.
 func ClusterSplit(secureCores int, cfg arch.Config) (noc.Split, error) {
@@ -95,11 +94,11 @@ func (ih *IronHide) EnterSecure(*sim.Machine) int64 { return 0 }
 // ExitSecure implements enclave.Model.
 func (ih *IronHide) ExitSecure(*sim.Machine) int64 { return 0 }
 
-// ContextSwitchSecure models a context switch between mutually DIStrusting
-// secure processes (from different interactive applications) time-sharing
-// the secure cluster: the cluster's private resources and its dedicated
-// memory controllers are purged. Interactions within one application never
-// pay this.
+// ContextSwitchSecure implements enclave.Spatial. It models a context
+// switch between mutually DIStrusting secure processes (from different
+// interactive applications) time-sharing the secure cluster: the
+// cluster's private resources and its dedicated memory controllers are
+// purged. Interactions within one application never pay this.
 func (ih *IronHide) ContextSwitchSecure(m *sim.Machine) int64 {
 	split := m.Split()
 	cost := m.PurgePrivate(split.Cores(noc.SecureCluster))
@@ -108,30 +107,22 @@ func (ih *IronHide) ContextSwitchSecure(m *sim.Machine) int64 {
 	return cost
 }
 
-// ReconfigResult details one dynamic hardware isolation event.
-type ReconfigResult struct {
-	From, To   int   // secure cluster sizes
-	CoresMoved int   // cores whose private state was flushed
-	PagesMoved int   // pages re-homed across L2 slices
-	Cycles     int64 // total stall observed by the application
-}
-
-// Reconfigure performs the one dynamic hardware isolation event: the
-// system stalls, the re-allocated cores' private resources are
-// flushed-and-invalidated, and the memory pages mapped to the shared
-// cache slices of the moved cores are re-homed (unmap, set-home, remap).
-// The caller (the secure kernel) is responsible for enforcing the
-// once-per-invocation budget.
-func (ih *IronHide) Reconfigure(m *sim.Machine, secureCores int) (ReconfigResult, error) {
+// Reconfigure implements enclave.Spatial. It performs the one dynamic
+// hardware isolation event: the system stalls, the re-allocated cores'
+// private resources are flushed-and-invalidated, and the memory pages
+// mapped to the shared cache slices of the moved cores are re-homed
+// (unmap, set-home, remap). The caller (the secure kernel) is responsible
+// for enforcing the once-per-invocation budget.
+func (ih *IronHide) Reconfigure(m *sim.Machine, secureCores int) (enclave.Reconfig, error) {
 	old := m.Split()
 	next, err := noc.NewSplit(secureCores, m.Cfg)
 	if err != nil {
-		return ReconfigResult{}, err
+		return enclave.Reconfig{}, err
 	}
 	if next.Size(noc.SecureCluster) == 0 || next.Size(noc.InsecureCluster) == 0 {
-		return ReconfigResult{}, fmt.Errorf("core: reconfiguration to %d secure cores leaves a cluster empty", secureCores)
+		return enclave.Reconfig{}, fmt.Errorf("core: reconfiguration to %d secure cores leaves a cluster empty", secureCores)
 	}
-	res := ReconfigResult{From: old.SecureCores, To: secureCores}
+	res := enclave.Reconfig{From: old.SecureCores, To: secureCores}
 	moved := old.Moved(next)
 	res.CoresMoved = len(moved)
 	if len(moved) == 0 {
@@ -142,31 +133,16 @@ func (ih *IronHide) Reconfigure(m *sim.Machine, secureCores int) (ReconfigResult
 	res.Cycles += m.PurgePrivate(moved)
 	// Install the new split, then migrate both domains' pages onto their
 	// new slice sets.
-	applySliceSplit(m, next)
+	enclave.SplitSlices(m, secureCores)
 	m.SetSplit(next, true)
 	for _, d := range []arch.Domain{arch.Secure, arch.Insecure} {
 		rr, err := m.RehomeDomainPages(d)
 		if err != nil {
-			return ReconfigResult{}, err
+			return enclave.Reconfig{}, err
 		}
 		res.PagesMoved += rr.PagesMoved
 		res.Cycles += rr.Cycles
 	}
 	res.Cycles += m.Cfg.PurgeKernelLat // stall/resume orchestration
 	return res, nil
-}
-
-// applySliceSplit dedicates L2 slices to the clusters that own their
-// tiles: slice i belongs to the cluster of core i.
-func applySliceSplit(m *sim.Machine, split noc.Split) {
-	var sec, ins []cache.SliceID
-	for i := 0; i < m.Cfg.Cores(); i++ {
-		if split.ClusterOf(arch.CoreID(i)) == noc.SecureCluster {
-			sec = append(sec, cache.SliceID(i))
-		} else {
-			ins = append(ins, cache.SliceID(i))
-		}
-	}
-	m.SetSlices(arch.Secure, sec)
-	m.SetSlices(arch.Insecure, ins)
 }

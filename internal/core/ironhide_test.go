@@ -18,16 +18,14 @@ func machine(t *testing.T) *sim.Machine {
 	return m
 }
 
-// IRONHIDE implements the same model interface as the baselines.
-var _ enclave.Model = (*IronHide)(nil)
+// IRONHIDE implements the same model interface as the baselines, and
+// places and moves its own cluster boundary.
+var _ enclave.Spatial = (*IronHide)(nil)
 
 func TestProperties(t *testing.T) {
 	ih := New(32)
 	if ih.Name() != "IRONHIDE" || !ih.StrongIsolation() || ih.Temporal() {
 		t.Fatal("model properties wrong")
-	}
-	if ih.InitialSecureCores() != 32 {
-		t.Fatal("initial cluster size lost")
 	}
 }
 

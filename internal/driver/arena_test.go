@@ -30,10 +30,10 @@ func TestMachinePoolMatchesFresh(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if model.Temporal() {
-			return runTemporal(m, model, tr.NewApp(), opts)
+		if spatial, ok := model.(enclave.Spatial); ok {
+			return runSpatial(m, spatial, tr.NewApp(), opts, SearchResult{SecureCores: opts.FixedSecureCores})
 		}
-		return runSpatial(m, model, tr.NewApp(), opts, SearchResult{SecureCores: opts.FixedSecureCores})
+		return runTemporal(m, model, tr.NewApp(), opts)
 	}
 	sequence := func(run func(enclave.Model, Options) (*Result, error)) []*Result {
 		var out []*Result

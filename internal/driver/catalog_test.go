@@ -138,10 +138,7 @@ func TestSearchAndRunIgnoreSeed(t *testing.T) {
 	cfg := arch.TileGx72()
 	const scale = 0.03
 	seeds := []int64{1, 7, 1 << 40}
-	models := []func() enclave.Model{
-		func() enclave.Model { return core.New(32) },
-		func() enclave.Model { return enclave.Insecure{} },
-	}
+	models := []enclave.Model{core.New(32), enclave.Insecure{}}
 	for _, entry := range apps.Catalog() {
 		t.Run(entry.Alias, func(t *testing.T) {
 			t.Parallel()
@@ -154,11 +151,11 @@ func TestSearchAndRunIgnoreSeed(t *testing.T) {
 				var wantCycles int64
 				for i, seed := range seeds {
 					opts := driver.Options{Scale: scale, Seed: seed}
-					sr, err := driver.SearchTrace(cfg, model(), tr, opts)
+					sr, err := driver.SearchTrace(cfg, model, tr, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := driver.RunTrace(cfg, model(), tr, opts)
+					res, err := driver.RunTrace(cfg, model, tr, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -168,7 +165,7 @@ func TestSearchAndRunIgnoreSeed(t *testing.T) {
 					}
 					if sr != wantSR || res.CompletionCycles != wantCycles {
 						t.Fatalf("%s seed %d: search %+v, %d cycles; seed %d gave %+v, %d cycles",
-							model().Name(), seed, sr, res.CompletionCycles, seeds[0], wantSR, wantCycles)
+							model.Name(), seed, sr, res.CompletionCycles, seeds[0], wantSR, wantCycles)
 					}
 				}
 			}

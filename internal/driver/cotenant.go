@@ -53,7 +53,8 @@ type CoRunOptions struct {
 	// Scale must match every tenant trace's capture scale.
 	Scale float64
 	// SecureCores is the secure-cluster size the tenants' sub-gangs
-	// partition (0 = half the machine, the paper's starting split).
+	// partition (0 = half the machine, the paper's starting split;
+	// negative is an error).
 	SecureCores int
 	// Active marks which tenants execute rounds (nil = all). Inactive
 	// tenants are still attested and initialized — their pages are mapped
@@ -133,7 +134,10 @@ type coTenantState struct {
 // L2 slices, memory controllers, and mesh links in deterministic order.
 func CoRunTraces(cfg arch.Config, tenants []CoTenant, opts CoRunOptions) (*CoRunResult, error) {
 	secCores := opts.SecureCores
-	if secCores <= 0 {
+	if secCores < 0 {
+		return nil, fmt.Errorf("driver: secure cluster of %d cores must be 0 (half the machine) or a cluster size", secCores)
+	}
+	if secCores == 0 {
 		secCores = cfg.Cores() / 2
 	}
 	if err := validateCoTenants(cfg, tenants, secCores, opts); err != nil {
@@ -145,8 +149,7 @@ func CoRunTraces(cfg arch.Config, tenants []CoTenant, opts CoRunOptions) (*CoRun
 		return nil, err
 	}
 	defer ReleaseMachine(m)
-	ih := core.New(secCores)
-	if err := ih.Configure(m); err != nil {
+	if err := core.New(secCores).Configure(m); err != nil {
 		return nil, err
 	}
 

@@ -244,6 +244,7 @@ func TestCoRunValidation(t *testing.T) {
 		{"insecure core in secure cluster", []CoTenant{{Trace: trA, SecureCores: cores(0), InsecureCores: cores(8)}}, CoRunOptions{}},
 		{"missing insecure cores", []CoTenant{{Trace: trA, SecureCores: cores(0)}}, CoRunOptions{}},
 		{"bad active mask", []CoTenant{ok}, CoRunOptions{Active: []bool{true, false}}},
+		{"negative secure cluster", []CoTenant{ok}, CoRunOptions{SecureCores: -1}},
 		{"secure slice outside cluster", []CoTenant{{Trace: trA, SecureCores: cores(0), InsecureCores: cores(48), SecureSlices: sliceRange(40, 44)}}, CoRunOptions{}},
 		{"insecure region not insecure-owned", []CoTenant{{Trace: trA, SecureCores: cores(0), InsecureCores: cores(48), InsecureRegions: []int{0}}}, CoRunOptions{}},
 	}

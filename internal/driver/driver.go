@@ -157,21 +157,23 @@ func RunTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Option
 	return runModel(cfg, model, tr.NewApp, opts)
 }
 
-// runModel drives the model's way of sharing the machine: time-shared
-// (SGX-like, MI6) or space-shared (the insecure baseline, IRONHIDE).
-// fresh yields a fresh, already-scaled application instance per call:
-// profiling probes and the measured run must not share warmed state. A
-// spatial model's binding search runs before the measured run acquires
-// its machine, so the run holds one machine at a time.
+// runModel drives the model's way of sharing the machine: space-shared
+// for an enclave.Spatial model (the insecure baseline, IRONHIDE),
+// time-shared otherwise (SGX-like, MI6). fresh yields a fresh,
+// already-scaled application instance per call: profiling probes and the
+// measured run must not share warmed state. A spatial model's binding
+// search runs before the measured run acquires its machine, so the run
+// holds one machine at a time.
 func runModel(cfg arch.Config, model enclave.Model, fresh func() *workload.App, opts Options) (*Result, error) {
 	app := fresh()
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
+	spatial, ok := model.(enclave.Spatial)
 	var sr SearchResult
-	if !model.Temporal() {
+	if ok {
 		var err error
-		if sr, err = chooseBinding(cfg, model, fresh, opts); err != nil {
+		if sr, err = chooseBinding(cfg, spatial, fresh, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -180,10 +182,10 @@ func runModel(cfg arch.Config, model enclave.Model, fresh func() *workload.App, 
 		return nil, err
 	}
 	defer ReleaseMachine(m)
-	if model.Temporal() {
+	if !ok {
 		return runTemporal(m, model, app, opts)
 	}
-	return runSpatial(m, model, app, opts, sr)
+	return runSpatial(m, spatial, app, opts, sr)
 }
 
 // checkScale rejects using a trace at a scale other than its capture's:
@@ -212,7 +214,10 @@ func CaptureTrace(cfg arch.Config, factory AppFactory, opts Options) (*trace.Tra
 		return nil, err
 	}
 	defer ReleaseMachine(m)
-	ring, err := setup(m, enclave.Insecure{}, recApp)
+	if err := (enclave.Insecure{}).Place(m, cfg.Cores()/2); err != nil {
+		return nil, err
+	}
+	ring, err := initApp(m, recApp)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +225,7 @@ func CaptureTrace(cfg arch.Config, factory AppFactory, opts Options) (*trace.Tra
 	if pw, pr := profileLen(app); pw+pr > rounds {
 		rounds = pw + pr
 	}
-	sec, ins := clusterCores(m, recApp, cfg.Cores()/2)
+	sec, ins := clusterCores(m, recApp)
 	// Capture needs the event sequence, not the cycle model: the recorded
 	// stream is timing-independent, so run the payload in lite-exec mode
 	// (flat L1-hit charges, no machine walk).
@@ -317,7 +322,7 @@ func (a *Authority) Admit(k *kernel.Kernel, app *workload.App) error {
 // on an already-configured machine — the multi-app co-residency setup the
 // scenario engine uses to populate a shared machine with every resident
 // tenant's pages, so that cluster resizes re-home (and purge) state
-// proportional to the real co-resident footprint. Unlike setup it builds
+// proportional to the real co-resident footprint. Unlike initApp it builds
 // no IPC ring: phase completions are measured by the replay path on
 // machines the driver acquires from its arena, while the shared machine
 // carries the reconfiguration costs.
@@ -328,15 +333,6 @@ func InitTenant(m *sim.Machine, app *workload.App) error {
 	app.Insecure.Init(m, m.NewSpace(app.Insecure.Name(), arch.Insecure))
 	app.Secure.Init(m, m.NewSpace(app.Secure.Name(), arch.Secure))
 	return nil
-}
-
-// setup configures the model on a fresh machine and initializes both
-// processes and the shared IPC ring.
-func setup(m *sim.Machine, model enclave.Model, app *workload.App) (*ipc.Ring, error) {
-	if err := model.Configure(m); err != nil {
-		return nil, err
-	}
-	return initApp(m, app)
 }
 
 // initApp initializes both processes' address spaces and builds the IPC
@@ -405,7 +401,10 @@ func runTemporal(m *sim.Machine, model enclave.Model, app *workload.App, opts Op
 			return nil, err
 		}
 	}
-	ring, err := setup(m, model, app)
+	if err := model.Configure(m); err != nil {
+		return nil, err
+	}
+	ring, err := initApp(m, app)
 	if err != nil {
 		return nil, err
 	}
@@ -539,35 +538,27 @@ func (p *pipeline) run(interrupt func() error) error {
 	return nil
 }
 
-// clusterCores splits the cores between the domains for a spatial run.
-func clusterCores(m *sim.Machine, app *workload.App, secureCores int) (sec, ins []arch.CoreID) {
-	split, _ := noc.NewSplit(secureCores, m.Cfg)
+// clusterCores gangs each process on its cluster of the installed split.
+func clusterCores(m *sim.Machine, app *workload.App) (sec, ins []arch.CoreID) {
+	split := m.Split()
 	sec = gangCores(split.Cores(noc.SecureCluster), app.Secure.Threads())
 	ins = gangCores(split.Cores(noc.InsecureCluster), app.Insecure.Threads())
 	return sec, ins
 }
 
 // profile measures a candidate binding with a short run of a fresh
-// application instance on a fresh machine.
-func profile(m *sim.Machine, model enclave.Model, app *workload.App, secureCores int, interrupt func() error) (float64, error) {
+// application instance on a fresh machine placed directly at the
+// candidate.
+func profile(m *sim.Machine, model enclave.Spatial, app *workload.App, secureCores int, interrupt func() error) (float64, error) {
 	warm, rounds := profileLen(app)
-	mdl := model
-	if _, ok := model.(*core.IronHide); ok {
-		mdl = core.New(secureCores) // configure directly at the candidate
+	if err := model.Place(m, secureCores); err != nil {
+		return 0, err
 	}
-	ring, err := setup(m, mdl, app)
+	ring, err := initApp(m, app)
 	if err != nil {
 		return 0, err
 	}
-	if _, ok := mdl.(*core.IronHide); !ok {
-		// Insecure baseline: the split assigns cores only.
-		split, err := noc.NewSplit(secureCores, m.Cfg)
-		if err != nil {
-			return 0, err
-		}
-		m.SetSplit(split, false)
-	}
-	sec, ins := clusterCores(m, app, secureCores)
+	sec, ins := clusterCores(m, app)
 	p := newPipeline(m, ring, app, sec, ins, warm, rounds)
 	if err := p.run(interrupt); err != nil {
 		return 0, err
@@ -592,13 +583,14 @@ type SearchResult struct {
 // binding reproduces the searched run. Temporal models time-share the
 // whole machine and have no binding to choose, so they are rejected.
 func SearchTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Options) (SearchResult, error) {
-	if model.Temporal() {
+	spatial, ok := model.(enclave.Spatial)
+	if !ok {
 		return SearchResult{}, fmt.Errorf("driver: temporal model %s has no cluster binding to search", model.Name())
 	}
 	if err := checkScale(tr, opts.scale(), "search"); err != nil {
 		return SearchResult{}, err
 	}
-	return chooseBinding(cfg, model, tr.NewApp, opts)
+	return chooseBinding(cfg, spatial, tr.NewApp, opts)
 }
 
 // chooseBinding picks the secure-cluster size for a spatial run: the
@@ -606,7 +598,7 @@ func SearchTrace(cfg arch.Config, model enclave.Model, tr *trace.Trace, opts Opt
 // clusters a core), otherwise the gradient heuristic or the exhaustive
 // Optimal oracle probing candidates via profile, each probe on a machine
 // of its own.
-func chooseBinding(cfg arch.Config, model enclave.Model, fresh func() *workload.App, opts Options) (SearchResult, error) {
+func chooseBinding(cfg arch.Config, model enclave.Spatial, fresh func() *workload.App, opts Options) (SearchResult, error) {
 	lo, hi := 1, cfg.Cores()-1
 	sr := SearchResult{SecureCores: opts.FixedSecureCores, WaiveReconfig: opts.WaiveReconfig}
 	if sr.SecureCores > hi {
@@ -649,51 +641,43 @@ func chooseBinding(cfg arch.Config, model enclave.Model, fresh func() *workload.
 }
 
 // runSpatial drives the insecure baseline and IRONHIDE at the binding sr
-// chose.
-func runSpatial(m *sim.Machine, model enclave.Model, app *workload.App, opts Options, sr SearchResult) (*Result, error) {
-	cfg := m.Cfg
-	binding, waiveOverheads := sr.SecureCores, sr.WaiveReconfig
+// chose. The paper's flow: place the boundary at an even split, then one
+// move installs the binding — under IRONHIDE a dynamic hardware isolation
+// event the secure kernel authorizes.
+func runSpatial(m *sim.Machine, model enclave.Spatial, app *workload.App, opts Options, sr SearchResult) (*Result, error) {
 	res := &Result{App: app.String(), Class: app.Class, Model: model.Name(), Rounds: app.Rounds, SearchProbes: sr.Probes}
-
-	var ring *ipc.Ring
+	var k *kernel.Kernel
+	if model.StrongIsolation() {
+		var err error
+		if k, err = attest(app, opts.Seed); err != nil {
+			return nil, err
+		}
+	}
+	start := m.Cfg.Cores() / 2
+	if err := model.Place(m, start); err != nil {
+		return nil, err
+	}
+	ring, err := initApp(m, app)
+	if err != nil {
+		return nil, err
+	}
 	var reconfigCycles int64
-	switch model.(type) {
-	case *core.IronHide:
-		k, err := attest(app, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		// The paper's flow: start at 32/32, then one dynamic hardware
-		// isolation event installs the heuristic's binding.
-		ih := core.New(cfg.Cores() / 2)
-		if ring, err = setup(m, ih, app); err != nil {
-			return nil, err
-		}
-		if binding != cfg.Cores()/2 {
+	if sr.SecureCores != start {
+		if k != nil {
 			if err := k.AuthorizeReconfig(); err != nil {
 				return nil, err
 			}
-			rr, err := ih.Reconfigure(m, binding)
-			if err != nil {
-				return nil, err
-			}
-			if !waiveOverheads {
-				reconfigCycles = rr.Cycles
-			}
 		}
-	default:
-		var err error
-		if ring, err = setup(m, model, app); err != nil {
-			return nil, err
-		}
-		split, err := noc.NewSplit(binding, cfg)
+		rr, err := model.Reconfigure(m, sr.SecureCores)
 		if err != nil {
 			return nil, err
 		}
-		m.SetSplit(split, false)
+		if !sr.WaiveReconfig {
+			reconfigCycles = rr.Cycles
+		}
 	}
 
-	sec, ins := clusterCores(m, app, binding)
+	sec, ins := clusterCores(m, app)
 	p := newPipeline(m, ring, app, sec, ins, app.Warmup, app.Rounds)
 	if err := p.run(opts.Interrupt); err != nil {
 		return nil, err
@@ -711,7 +695,7 @@ func runSpatial(m *sim.Machine, model enclave.Model, app *workload.App, opts Opt
 	res.CompletionCycles = p.completion() + reconfigCycles
 	res.ReconfigCycles = reconfigCycles
 	res.Interactions = p.interactions
-	res.SecureCores = binding
+	res.SecureCores = sr.SecureCores
 	collectStats(m, res)
 	return res, nil
 }
@@ -728,26 +712,21 @@ func realRounds(app *workload.App) int {
 	return 13_300
 }
 
-// ModelFactories returns per-model constructors in the paper's
-// presentation order. Models carry per-run mutable state (IRONHIDE in
-// particular), so a parallel grid builds a fresh instance per cell.
-func ModelFactories() []func() enclave.Model {
-	return []func() enclave.Model{
-		func() enclave.Model { return enclave.Insecure{} },
-		func() enclave.Model { return enclave.SGXLike{} },
-		func() enclave.Model { return enclave.MulticoreMI6{} },
-		func() enclave.Model { return core.New(32) },
-	}
-}
+// models are the four models in the paper's presentation order. No model
+// holds per-run state, so every run — on any number of goroutines —
+// shares these values.
+var models = [...]enclave.Model{enclave.Insecure{}, enclave.SGXLike{}, enclave.MulticoreMI6{}, core.New(32)}
 
 // Models returns the four models in the paper's presentation order.
-func Models() []enclave.Model {
-	factories := ModelFactories()
-	models := make([]enclave.Model, len(factories))
-	for i, f := range factories {
-		models[i] = f()
+func Models() []enclave.Model { return append([]enclave.Model(nil), models[:]...) }
+
+// ModelFactories returns one constructor per model of Models, each
+// returning the shared value. Only the benchmark harness still calls it.
+func ModelFactories() (out []func() enclave.Model) {
+	for _, m := range models {
+		out = append(out, func() enclave.Model { return m })
 	}
-	return models
+	return out
 }
 
 // String renders a one-line summary of the result.

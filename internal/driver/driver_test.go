@@ -24,6 +24,25 @@ func tinyApp() *workload.App {
 	}
 }
 
+// Every model shares the machine one way: spatial models place and move
+// a cluster boundary, the others time-share every core. Temporal() must
+// agree with that split while anything still reads it.
+func TestModelsAreTemporalOrSpatial(t *testing.T) {
+	spatial := 0
+	for _, m := range Models() {
+		_, ok := m.(enclave.Spatial)
+		if ok == m.Temporal() {
+			t.Fatalf("%s: Temporal() = %v, enclave.Spatial = %v", m.Name(), m.Temporal(), ok)
+		}
+		if ok {
+			spatial++
+		}
+	}
+	if spatial != 2 {
+		t.Fatalf("%d spatial models, want the insecure baseline and IRONHIDE", spatial)
+	}
+}
+
 func TestRunAllModels(t *testing.T) {
 	cfg := arch.TileGx72()
 	for _, m := range Models() {

@@ -14,13 +14,14 @@
 //     queues on every enclave entry and exit.
 //
 // The IRONHIDE model itself (spatial clusters, pinning, dynamic hardware
-// isolation) lives in the internal/core package, which implements the same
-// Model interface.
+// isolation) lives in the internal/core package; like Insecure, it is a
+// Spatial model.
 package enclave
 
 import (
 	"ironhide/internal/arch"
 	"ironhide/internal/cache"
+	"ironhide/internal/noc"
 	"ironhide/internal/sim"
 )
 
@@ -44,6 +45,29 @@ type Model interface {
 	EnterSecure(m *sim.Machine) int64
 	// ExitSecure applies the enclave-exit protocol.
 	ExitSecure(m *sim.Machine) int64
+}
+
+// Spatial is a model that runs the two processes concurrently on two
+// clusters of cores, the first secureCores of them secure. It places and
+// moves that boundary itself and holds no per-run state.
+type Spatial interface {
+	Model
+	// Place configures a fresh machine with its boundary at secureCores.
+	Place(m *sim.Machine, secureCores int) error
+	// Reconfigure moves a placed machine's boundary to secureCores and
+	// reports what the move cost.
+	Reconfigure(m *sim.Machine, secureCores int) (Reconfig, error)
+	// ContextSwitchSecure switches the secure cluster between mutually
+	// distrusting secure processes, returning its cost in cycles.
+	ContextSwitchSecure(m *sim.Machine) int64
+}
+
+// Reconfig details one move of a spatial model's cluster boundary.
+type Reconfig struct {
+	From, To   int   // secure cluster sizes
+	CoresMoved int   // cores that changed clusters
+	PagesMoved int   // pages re-homed across L2 slices
+	Cycles     int64 // total stall observed by the application
 }
 
 // SecureControllerMask is the controller bit-mask the paper dedicates to
@@ -76,6 +100,32 @@ func (Insecure) EnterSecure(*sim.Machine) int64 { return 0 }
 
 // ExitSecure implements Model.
 func (Insecure) ExitSecure(*sim.Machine) int64 { return 0 }
+
+// Place implements Spatial: everything shared, with the boundary only
+// assigning cores to the two processes.
+func (Insecure) Place(m *sim.Machine, secureCores int) error {
+	split, err := noc.NewSplit(secureCores, m.Cfg)
+	if err != nil {
+		return err
+	}
+	configureShared(m)
+	m.SetSplit(split, false)
+	return nil
+}
+
+// Reconfigure implements Spatial: the OS moves the boundary for free, with
+// no purge and no re-homing — the leakage the attack tests demonstrate.
+// It counts the cores noc.Split.Moved would list, without listing them.
+func (Insecure) Reconfigure(m *sim.Machine, secureCores int) (Reconfig, error) {
+	from := m.Split().SecureCores
+	if err := (Insecure{}).Place(m, secureCores); err != nil {
+		return Reconfig{}, err
+	}
+	return Reconfig{From: from, To: secureCores, CoresMoved: max(from-secureCores, secureCores-from)}, nil
+}
+
+// ContextSwitchSecure implements Spatial: nothing is purged.
+func (Insecure) ContextSwitchSecure(*sim.Machine) int64 { return 0 }
 
 // SGXLike is the Intel-SGX-style enclave model: temporal execution with a
 // constant per-crossing cost (pipeline flush + data encryption/decryption
@@ -128,25 +178,30 @@ func (MulticoreMI6) Temporal() bool { return true }
 // Configure implements Model: 32/32 static L2 split, local homing,
 // partitioned DRAM regions, hardware check armed.
 func (MulticoreMI6) Configure(m *sim.Machine) error {
+	return Isolate(m, m.Cfg.Cores()/2)
+}
+
+// Isolate partitions the memory system between the domains the way
+// strong isolation requires: dedicated memory controllers and DRAM
+// regions, the speculative-access check armed, local homing, and the L2
+// slices split at secureCores.
+func Isolate(m *sim.Machine, secureCores int) error {
 	if err := m.Part.AssignDomains(SecureControllerMask); err != nil {
 		return err
 	}
 	m.SetSpecCheck(true)
 	m.SetHomePolicy(arch.Insecure, cache.NewLocalHome())
 	m.SetHomePolicy(arch.Secure, cache.NewLocalHome())
-	n := m.Cfg.Cores()
-	sec := make([]cache.SliceID, 0, n/2)
-	ins := make([]cache.SliceID, 0, n/2)
-	for i := 0; i < n; i++ {
-		if i < n/2 {
-			sec = append(sec, cache.SliceID(i))
-		} else {
-			ins = append(ins, cache.SliceID(i))
-		}
-	}
-	m.SetSlices(arch.Secure, sec)
-	m.SetSlices(arch.Insecure, ins)
+	SplitSlices(m, secureCores)
 	return nil
+}
+
+// SplitSlices dedicates each L2 slice to the cluster of the core on its
+// tile: the first secureCores slices are secure, the rest insecure.
+func SplitSlices(m *sim.Machine, secureCores int) {
+	all := m.AllSlices()
+	m.SetSlices(arch.Secure, all[:secureCores:secureCores])
+	m.SetSlices(arch.Insecure, all[secureCores:])
 }
 
 // EnterSecure implements Model: the full strong-isolation purge.

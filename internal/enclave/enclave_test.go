@@ -148,3 +148,35 @@ func TestSecureControllerMaskMatchesPaper(t *testing.T) {
 		t.Fatal("the paper dedicates MC0 and MC1 (pos=0b0011) to the secure cluster")
 	}
 }
+
+// The insecure baseline moves its boundary for free: a move reports the
+// cores noc.Split.Moved lists between the two boundaries, and charges no
+// cycle and re-homes no page.
+func TestInsecureReconfigureIsFree(t *testing.T) {
+	m := machine(t)
+	if err := (Insecure{}).Place(m, 32); err != nil {
+		t.Fatal(err)
+	}
+	for _, to := range []int{40, 40, 12, 63, 1} {
+		old := m.Split()
+		rr, err := (Insecure{}).Reconfigure(m, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Split().SecureCores != to || rr.From != old.SecureCores || rr.To != to {
+			t.Fatalf("move to %d installed %d, reported %d -> %d", to, m.Split().SecureCores, rr.From, rr.To)
+		}
+		if want := len(old.Moved(m.Split())); rr.CoresMoved != want {
+			t.Fatalf("move %d -> %d reported %d moved cores, Split.Moved lists %d", old.SecureCores, to, rr.CoresMoved, want)
+		}
+		if rr.Cycles != 0 || rr.PagesMoved != 0 {
+			t.Fatalf("move %d -> %d charged %d cycles and %d pages", old.SecureCores, to, rr.Cycles, rr.PagesMoved)
+		}
+	}
+	if m.Part.Isolated() {
+		t.Fatal("insecure baseline partitioned the memory system")
+	}
+	if _, err := (Insecure{}).Reconfigure(m, 65); err == nil {
+		t.Fatal("a boundary off the mesh was accepted")
+	}
+}

@@ -144,33 +144,31 @@ func RunMatrix(cfg arch.Config, ec Config) (*Matrix, error) {
 	}
 
 	type job struct {
-		entry   apps.Entry
-		model   string
-		factory func() enclave.Model
-		tr      *trace.Trace
+		entry apps.Entry
+		model enclave.Model
+		tr    *trace.Trace
 	}
 	var jobs []job
-	factories := driver.ModelFactories()
 	for ei, entry := range entries {
 		mx.Order = append(mx.Order, entry.Name)
 		mx.Cells[entry.Name] = map[string]*Cell{}
-		for mi, factory := range factories {
-			jobs = append(jobs, job{entry: entry, model: models[mi].Name(), factory: factory, tr: traces[ei]})
+		for _, model := range models {
+			jobs = append(jobs, job{entry: entry, model: model, tr: traces[ei]})
 		}
 	}
 
 	results, err := runner.Map(ec.Parallel, jobs, func(i int, j job) (*driver.Result, error) {
 		opts := driver.Options{Scale: ec.scale(), Seed: runner.SeedFor(ec.seed(), i), SearchWorkers: ec.SearchWorkers}
-		res, err := driver.RunTrace(cfg, j.factory(), j.tr, opts)
+		res, err := driver.RunTrace(cfg, j.model, j.tr, opts)
 		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", j.entry.Name+"/"+j.model, err)
+			return nil, fmt.Errorf("job %q: %w", j.entry.Name+"/"+j.model.Name(), err)
 		}
 		// Strong-isolation invariant: under contiguous row-major splits
 		// the bidirectional route chooser must never fail containment, so
 		// any violation in any cell is a simulator bug, not a measurement.
 		if res.RouteViolations != 0 {
 			return nil, fmt.Errorf("experiments: %s/%s recorded %d route violations; contained routing must never fail under contiguous splits",
-				j.entry.Name, j.model, res.RouteViolations)
+				j.entry.Name, j.model.Name(), res.RouteViolations)
 		}
 		return res, nil
 	})
@@ -178,7 +176,7 @@ func RunMatrix(cfg arch.Config, ec Config) (*Matrix, error) {
 		return nil, err
 	}
 	for i, j := range jobs {
-		mx.Cells[j.entry.Name][j.model] = &Cell{Entry: j.entry, Result: results[i]}
+		mx.Cells[j.entry.Name][j.model.Name()] = &Cell{Entry: j.entry, Result: results[i]}
 	}
 	return mx, nil
 }
@@ -509,10 +507,7 @@ func BuildSweep(cfg arch.Config, ec Config, rounds []int) (*SweepReport, error) 
 	if len(entries) > 2 {
 		entries = entries[:2]
 	}
-	sweepModels := []func() enclave.Model{
-		func() enclave.Model { return enclave.MulticoreMI6{} },
-		func() enclave.Model { return core.New(32) },
-	}
+	sweepModels := []enclave.Model{enclave.MulticoreMI6{}, core.New(32)}
 
 	type point struct {
 		entry apps.Entry
@@ -540,7 +535,7 @@ func BuildSweep(cfg arch.Config, ec Config, rounds []int) (*SweepReport, error) 
 	type job struct {
 		p     point
 		tr    *trace.Trace
-		model func() enclave.Model
+		model enclave.Model
 	}
 	var jobs []job
 	for pi, p := range points {
@@ -550,10 +545,9 @@ func BuildSweep(cfg arch.Config, ec Config, rounds []int) (*SweepReport, error) 
 	}
 
 	results, err := runner.Map(ec.Parallel, jobs, func(i int, j job) (*driver.Result, error) {
-		model := j.model()
-		res, err := driver.RunTrace(cfg, model, j.tr, driver.Options{Scale: j.p.scale, Seed: runner.SeedFor(ec.seed(), i)})
+		res, err := driver.RunTrace(cfg, j.model, j.tr, driver.Options{Scale: j.p.scale, Seed: runner.SeedFor(ec.seed(), i)})
 		if err != nil {
-			key := fmt.Sprintf("%s/%d/%s", j.p.entry.Name, j.p.n, model.Name())
+			key := fmt.Sprintf("%s/%d/%s", j.p.entry.Name, j.p.n, j.model.Name())
 			return nil, fmt.Errorf("job %q: %w", key, err)
 		}
 		return res, nil

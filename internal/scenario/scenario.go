@@ -34,11 +34,9 @@ import (
 
 	"ironhide/internal/apps"
 	"ironhide/internal/arch"
-	"ironhide/internal/core"
 	"ironhide/internal/driver"
 	"ironhide/internal/enclave"
 	"ironhide/internal/kernel"
-	"ironhide/internal/noc"
 	"ironhide/internal/runner"
 	"ironhide/internal/sched"
 	"ironhide/internal/sim"
@@ -154,13 +152,6 @@ func (s Spec) pool() []string {
 // scenario requests.
 func (s Spec) Pool() []string { return s.pool() }
 
-func (s Spec) model() string {
-	if s.Model == "" {
-		return "IRONHIDE"
-	}
-	return s.Model
-}
-
 func (s Spec) policy() string {
 	if s.Policy == "" {
 		return "interference-aware"
@@ -174,14 +165,20 @@ func (s Spec) policy() string {
 // limit to forbid resizes silently ran with the default budget instead.
 var ErrReconfigLimit = errors.New("scenario: reconfig_limit must be >= 0 (0 selects the paper's default budget of 1; resizes cannot be forbidden by a negative budget)")
 
-// ValidateModel checks that a model name can host a multi-tenant
-// timeline: only the spatial models qualify (empty selects the default).
-// The service's fail-fast validation and the engine share this check.
-func ValidateModel(name string) error {
-	if name == "" || strings.EqualFold(name, "IRONHIDE") || strings.EqualFold(name, "Insecure") {
-		return nil
+// spatialModel resolves a model name (case-insensitive; empty selects
+// IRONHIDE) to the spatial model the engine places and moves the cluster
+// boundary through. Only a spatial model can host a multi-tenant
+// timeline.
+func spatialModel(name string) (enclave.Spatial, error) {
+	if name == "" {
+		name = "IRONHIDE"
 	}
-	return fmt.Errorf("scenario: model %q cannot host a multi-tenant timeline (want IRONHIDE or Insecure; temporal models time-share the whole machine)", name)
+	for _, m := range driver.Models() {
+		if spatial, ok := m.(enclave.Spatial); ok && strings.EqualFold(m.Name(), name) {
+			return spatial, nil
+		}
+	}
+	return nil, fmt.Errorf("scenario: model %q cannot host a multi-tenant timeline (want IRONHIDE or Insecure; temporal models time-share the whole machine)", name)
 }
 
 // timeline is the schedule a run plays: the explicit Timeline, or the
@@ -200,7 +197,8 @@ func (s Spec) timeline() []Event {
 // engine never meets an event it cannot apply; a front end (the HTTP
 // service) calls this too so client mistakes fail fast as bad requests.
 func (s Spec) Validate() error {
-	if err := ValidateModel(s.Model); err != nil {
+	model, err := spatialModel(s.Model)
+	if err != nil {
 		return err
 	}
 	if s.ReconfigLimit < 0 {
@@ -218,8 +216,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: packing policy %q requires cotenancy", s.Policy)
 	}
 	if s.CoTenancy {
-		if !strings.EqualFold(s.model(), "IRONHIDE") {
-			return fmt.Errorf("scenario: co-tenancy space-shares the secure cluster and requires the IRONHIDE model, not %q", s.model())
+		if !model.StrongIsolation() {
+			return fmt.Errorf("scenario: co-tenancy space-shares the secure cluster and requires the IRONHIDE model, not %q", model.Name())
 		}
 		if _, err := sched.PolicyByName(s.Policy); err != nil {
 			return fmt.Errorf("scenario: %w", err)
@@ -340,13 +338,15 @@ type tenant struct {
 
 // engine carries the shared-machine state of one run.
 type engine struct {
-	cfg      arch.Config
-	spec     Spec
-	opts     Options
-	ironhide bool
+	cfg  arch.Config
+	spec Spec
+	opts Options
+	// model places and moves the shared machine's cluster boundary. k
+	// and auth, the secure kernel of a strongly isolating model, attest
+	// arrivals and budget resizes (nil under the insecure baseline).
+	model enclave.Spatial
 
 	m       *sim.Machine
-	ih      *core.IronHide
 	k       *kernel.Kernel
 	auth    *driver.Authority
 	binding int
@@ -377,7 +377,7 @@ func Run(cfg arch.Config, spec Spec, opts Options) (*Report, error) {
 	rep := &Report{
 		Name:       "scenario",
 		Title:      "Multi-tenant dynamic-reconfiguration timeline",
-		Model:      e.modelName(),
+		Model:      e.model.Name(),
 		Seed:       spec.seed(),
 		Scale:      spec.scale(),
 		Apps:       append([]string(nil), spec.pool()...),
@@ -416,7 +416,7 @@ func Run(cfg arch.Config, spec Spec, opts Options) (*Report, error) {
 }
 
 // Grid runs one scenario per spec, fanned out over runner.Map — the
-// scenario-grid sweep the CLI and the benchmarks use to compare the same
+// scenario-grid sweep the multitenant example uses to compare the same
 // timeline across enclave models or seeds. Results are ordered by spec
 // index and identical at any worker count.
 func Grid(cfg arch.Config, specs []Spec, workers int) ([]*Report, error) {
@@ -432,18 +432,20 @@ func newEngine(cfg arch.Config, spec Spec, opts Options) (*engine, error) {
 		return nil, err
 	}
 	e.policy = pol
-	e.ironhide = strings.EqualFold(spec.model(), "IRONHIDE")
+	if e.model, err = spatialModel(spec.Model); err != nil {
+		return nil, err
+	}
 	m, err := driver.AcquireMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
 	e.m = m
+	// The report's first phase moves the boundary from this even split.
 	e.binding = cfg.Cores() / 2
-	if e.ironhide {
-		e.ih = core.New(e.binding)
-		if err := e.ih.Configure(m); err != nil {
-			return nil, err
-		}
+	if err := e.model.Place(m, e.binding); err != nil {
+		return nil, err
+	}
+	if e.model.StrongIsolation() {
 		auth, err := driver.NewAuthority(spec.seed())
 		if err != nil {
 			return nil, err
@@ -453,36 +455,8 @@ func newEngine(cfg arch.Config, spec Spec, opts Options) (*engine, error) {
 		if spec.ReconfigLimit > 0 {
 			e.k.SetReconfigLimit(spec.ReconfigLimit)
 		}
-	} else {
-		if err := (enclave.Insecure{}).Configure(m); err != nil {
-			return nil, err
-		}
-		// Install the starting boundary (a fresh machine boots with an
-		// empty secure split), so the first resize's moved-core count is
-		// measured against the same cores/2 start the report claims.
-		split, err := noc.NewSplit(e.binding, cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.SetSplit(split, false)
 	}
 	return e, nil
-}
-
-func (e *engine) modelName() string {
-	if e.ironhide {
-		return "IRONHIDE"
-	}
-	return "Insecure"
-}
-
-// searchModel returns a fresh spatial model instance for binding search
-// and phase replays (models carry per-run mutable state).
-func (e *engine) searchModel() enclave.Model {
-	if e.ironhide {
-		return core.New(e.cfg.Cores() / 2)
-	}
-	return enclave.Insecure{}
 }
 
 func (e *engine) traceFor(entry apps.Entry) (*trace.Trace, error) {
@@ -529,16 +503,16 @@ func (e *engine) phase(index int, ev Event) (*Phase, error) {
 			return nil, err
 		}
 		app := tr.NewApp()
-		if e.ironhide {
-			// Admission: the arriving secure process is attested into the
-			// shared secure kernel before touching the secure cluster, and
-			// the incumbent's state is scrubbed by a context-switch purge.
+		// Admission: the arriving secure process is attested into the
+		// shared secure kernel before touching the secure cluster, and the
+		// incumbent's state is scrubbed by a context-switch purge.
+		if e.k != nil {
 			if err := e.auth.Admit(e.k, app); err != nil {
 				return nil, err
 			}
-			if len(e.tenants) > 0 {
-				ph.CtxSwitchCycles += e.ih.ContextSwitchSecure(e.m)
-			}
+		}
+		if len(e.tenants) > 0 {
+			ph.CtxSwitchCycles += e.model.ContextSwitchSecure(e.m)
 		}
 		// Multi-app co-residency: the tenant's pages live on the shared
 		// machine, so later resizes re-home (and purge) real footprints.
@@ -547,7 +521,7 @@ func (e *engine) phase(index int, ev Event) (*Phase, error) {
 			return nil, err
 		}
 		pageHi := uint64(e.m.TotalPages())
-		sr, err := driver.SearchTrace(e.cfg, e.searchModel(), tr, driver.Options{
+		sr, err := driver.SearchTrace(e.cfg, e.model, tr, driver.Options{
 			Scale: e.spec.scale(), Seed: runner.SeedFor(e.spec.seed(), index),
 		})
 		if err != nil {
@@ -565,11 +539,9 @@ func (e *engine) phase(index int, ev Event) (*Phase, error) {
 		// The kernel tears down the departed address space, so later
 		// resizes re-home only the resident footprint — no ghost tenants.
 		e.m.RetirePages(t.pageLo, t.pageHi)
-		if e.ironhide {
-			// The departing tenant's secure-cluster state is purged before
-			// any successor may observe it.
-			ph.CtxSwitchCycles += e.ih.ContextSwitchSecure(e.m)
-		}
+		// The departing tenant's secure-cluster state is purged before any
+		// successor may observe it.
+		ph.CtxSwitchCycles += e.model.ContextSwitchSecure(e.m)
 		e.emit(StreamEvent{Type: EvTenantDepart, Phase: index, App: ev.App, Tenants: e.residentAliases()})
 		newInvocation = true
 	case LoadShift:
@@ -586,7 +558,7 @@ func (e *engine) phase(index int, ev Event) (*Phase, error) {
 		e.emit(StreamEvent{Type: EvLoadShift, Phase: index, App: ev.App, Factor: ev.Factor, Tenants: e.residentAliases()})
 	}
 
-	if e.ironhide && newInvocation {
+	if e.k != nil && newInvocation {
 		// Arrivals and departures open a new interactive-application
 		// invocation, refreshing the kernel's reconfiguration budget.
 		e.k.NewInvocation()
@@ -707,7 +679,7 @@ func (e *engine) resize(ph *Phase) error {
 			return nil
 		}
 	}
-	if e.ironhide {
+	if e.k != nil {
 		if err := e.k.AuthorizeReconfig(); err != nil {
 			if err == kernel.ErrReconfigBudget {
 				ph.BudgetDenied = true
@@ -717,23 +689,15 @@ func (e *engine) resize(ph *Phase) error {
 			}
 			return err
 		}
-		rr, err := e.ih.Reconfigure(e.m, target)
-		if err != nil {
-			return err
-		}
-		ph.CoresMoved = rr.CoresMoved
-		ph.PagesMoved = rr.PagesMoved
-		ph.PurgeCycles = rr.Cycles
-		e.lastPurge = rr.Cycles
-	} else {
-		split, err := noc.NewSplit(target, e.cfg)
-		if err != nil {
-			return err
-		}
-		old := e.m.Split()
-		ph.CoresMoved = len(old.Moved(split))
-		e.m.SetSplit(split, false)
 	}
+	rr, err := e.model.Reconfigure(e.m, target)
+	if err != nil {
+		return err
+	}
+	ph.CoresMoved = rr.CoresMoved
+	ph.PagesMoved = rr.PagesMoved
+	ph.PurgeCycles = rr.Cycles
+	e.lastPurge = rr.Cycles
 	from := e.binding
 	e.binding = target
 	ph.BindingTo = target
@@ -769,7 +733,7 @@ func (e *engine) runTenants(index int, ph *Phase) error {
 		jobs[i] = job{t: t, seed: runner.SeedFor(e.spec.seed(), index*64+i+1)}
 	}
 	runs, err := runner.Map(e.opts.Workers, jobs, func(_ int, j job) (TenantRun, error) {
-		res, err := driver.RunTrace(e.cfg, e.searchModel(), j.t.tr, driver.Options{
+		res, err := driver.RunTrace(e.cfg, e.model, j.t.tr, driver.Options{
 			Scale:            e.spec.scale(),
 			FixedSecureCores: e.binding,
 			WaiveReconfig:    true, // the shared machine already paid the resize

@@ -15,7 +15,7 @@ type Options struct {
 	// Scale must match every tenant trace's capture scale.
 	Scale float64
 	// SecureCores is the secure-cluster size being partitioned (0 = half
-	// the machine).
+	// the machine; negative is an error).
 	SecureCores int
 	// Workers bounds the parallel evaluation pool (<= 1 sequential).
 	// Results are byte-identical at any worker count.

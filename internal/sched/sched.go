@@ -48,12 +48,15 @@ type Resources struct {
 }
 
 // MachineResources derives the partitionable resources of a machine
-// configured by core.New(secureCores).Configure, without building one:
-// the DRAM regions each domain owns depend only on the configuration and
-// the secure controller mask, and the split is validated exactly as
-// Configure validates it.
+// IRONHIDE has placed at secureCores (0 = half the machine), without
+// building one: the DRAM regions each domain owns depend only on the
+// configuration and the secure controller mask, and the split is
+// validated exactly as Place validates it. A negative size is an error.
 func MachineResources(cfg arch.Config, secureCores int) (Resources, error) {
-	if secureCores <= 0 {
+	if secureCores < 0 {
+		return Resources{}, fmt.Errorf("sched: secure cluster of %d cores must be 0 (half the machine) or a cluster size", secureCores)
+	}
+	if secureCores == 0 {
 		secureCores = cfg.Cores() / 2
 	}
 	if err := cfg.Validate(); err != nil {

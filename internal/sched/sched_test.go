@@ -245,8 +245,9 @@ func TestJointSearchRejectsBadInput(t *testing.T) {
 }
 
 // MachineResources derives the regions without building a machine; it
-// must read exactly what a machine configured by core.New(k).Configure
-// holds, and fail for exactly the splits Configure rejects.
+// must read exactly what a machine IRONHIDE placed at k holds, and fail
+// for exactly the splits Place rejects. Zero selects half the machine; a
+// negative size is an error.
 func TestMachineResourcesMatchesConfiguredMachine(t *testing.T) {
 	for _, cfg := range []arch.Config{arch.TileGx72(), arch.TileGx72Scaled(12)} {
 		m, err := sim.NewMachine(cfg)
@@ -255,14 +256,20 @@ func TestMachineResourcesMatchesConfiguredMachine(t *testing.T) {
 		}
 		for k := -1; k <= cfg.Cores()+1; k++ {
 			got, gotErr := MachineResources(cfg, k)
+			if k < 0 {
+				if gotErr == nil {
+					t.Fatalf("secure cores %d: accepted, resources %+v", k, got)
+				}
+				continue
+			}
 			want := k
-			if want <= 0 {
+			if want == 0 {
 				want = cfg.Cores() / 2
 			}
 			m.Reset()
-			wantErr := core.New(want).Configure(m)
+			wantErr := core.New(32).Place(m, want)
 			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("secure cores %d: MachineResources error %v, Configure error %v", k, gotErr, wantErr)
+				t.Fatalf("secure cores %d: MachineResources error %v, Place error %v", k, gotErr, wantErr)
 			}
 			if gotErr != nil {
 				continue

@@ -80,7 +80,8 @@ type Config struct {
 	Arch arch.Config
 	// CacheTraces bounds the LRU trace cache (default 16).
 	CacheTraces int
-	// GridWorkers bounds each /v1/grid fan-out (default: all host cores).
+	// GridWorkers bounds each /v1/grid fan-out and each query's
+	// search_workers (default: all host cores).
 	GridWorkers int
 	// DefaultTimeout applies when a request carries no timeout_ms
 	// (default 60s; <0 disables the default deadline).
@@ -212,7 +213,8 @@ type Query struct {
 	Optimal bool `json:"optimal,omitempty"`
 	// OptimalStride coarsens the exhaustive search (default 1).
 	OptimalStride int `json:"optimal_stride,omitempty"`
-	// SearchWorkers parallelizes the Optimal search probes.
+	// SearchWorkers parallelizes the Optimal search probes; the server
+	// runs at most GridWorkers of them.
 	SearchWorkers int `json:"search_workers,omitempty"`
 	// TimeoutMs caps this request (0 = the server default).
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
@@ -242,32 +244,26 @@ func (q Query) key(entry apps.Entry) TraceKey {
 	return TraceKey{App: entry.Name, Scale: q.scale(), Seed: q.Seed}
 }
 
-// Resolve maps an application name (catalog alias or paper label) and a
-// model name (case-insensitive) to their factories.
-func Resolve(app, model string) (apps.Entry, func() enclave.Model, error) {
-	entry, err := apps.Find(app)
-	if err != nil {
-		return apps.Entry{}, nil, err
-	}
-	for _, mf := range driver.ModelFactories() {
-		if strings.EqualFold(mf().Name(), strings.TrimSpace(model)) {
-			return entry, mf, nil
-		}
-	}
-	var names []string
-	for _, mf := range driver.ModelFactories() {
-		names = append(names, mf().Name())
-	}
-	return apps.Entry{}, nil, fmt.Errorf("unknown model %q (known: %s)", model, strings.Join(names, ", "))
-}
-
-// resolve is Resolve for one query, also rejecting a pinned binding that
-// would leave a cluster without cores — before admission or any capture.
-func (s *Server) resolve(q Query) (apps.Entry, func() enclave.Model, error) {
+// resolve maps a query's application name (catalog alias or paper label)
+// and model name (case-insensitive) to the catalog entry and the shared
+// model, rejecting a pinned binding that would leave a cluster without
+// cores — before admission or any capture.
+func (s *Server) resolve(q Query) (apps.Entry, enclave.Model, error) {
 	if cores := s.cfg.Arch.Cores(); q.FixedSecureCores < 0 || q.FixedSecureCores >= cores {
 		return apps.Entry{}, nil, fmt.Errorf("fixed_secure_cores %d must be 0 (search) or within [1, %d]", q.FixedSecureCores, cores-1)
 	}
-	return Resolve(q.App, q.Model)
+	entry, err := apps.Find(q.App)
+	if err != nil {
+		return apps.Entry{}, nil, err
+	}
+	var names []string
+	for _, m := range driver.Models() {
+		if strings.EqualFold(m.Name(), strings.TrimSpace(q.Model)) {
+			return entry, m, nil
+		}
+		names = append(names, m.Name())
+	}
+	return apps.Entry{}, nil, fmt.Errorf("unknown model %q (known: %s)", q.Model, strings.Join(names, ", "))
 }
 
 // SearchResponse is /v1/search's body: the chosen binding and the
@@ -610,38 +606,46 @@ func (s *Server) sharedTraces(ctx context.Context) (traceFor func(apps.Entry, fl
 // query (and let check reject its model) before admission, then fetch its
 // trace and answer it under the query's options, interruptible by the
 // request context.
-func (s *Server) queryPlan(q *Query, check func(enclave.Model) error, answer func(mf func() enclave.Model, tr *trace.Trace, opts driver.Options) (any, error)) (plan, error) {
-	entry, mf, err := s.resolve(*q)
+func (s *Server) queryPlan(q *Query, check func(enclave.Model) error, answer func(model enclave.Model, tr *trace.Trace, opts driver.Options) (any, error)) (plan, error) {
+	entry, model, err := s.resolve(*q)
 	if err != nil {
 		return plan{}, err
 	}
 	if check != nil {
-		if err := check(mf()); err != nil {
+		if err := check(model); err != nil {
 			return plan{}, err
 		}
 	}
 	return plan{timeoutMs: q.TimeoutMs, work: func(ctx context.Context) outcome {
-		opts := q.Options()
+		opts := s.options(*q)
 		tr, src, err := s.getTrace(ctx, entry, q.key(entry), opts)
 		if err != nil {
 			return outcome{err: err}
 		}
 		opts.Interrupt = ctxInterrupt(ctx)
-		body, err := answer(mf, tr, opts)
+		body, err := answer(model, tr, opts)
 		return outcome{src: src, body: body, err: err}
 	}}, nil
 }
 
+// options is q.Options with SearchWorkers clamped to GridWorkers: each
+// search probe holds an arena machine, and the arena keeps them all.
+func (s *Server) options(q Query) driver.Options {
+	opts := q.Options()
+	opts.SearchWorkers = min(opts.SearchWorkers, s.cfg.GridWorkers)
+	return opts
+}
+
 func (s *Server) searchPlan(q *Query) (plan, error) {
 	spatial := func(m enclave.Model) error {
-		if m.Temporal() {
+		if _, ok := m.(enclave.Spatial); !ok {
 			return fmt.Errorf("model %s time-shares the whole machine and has no cluster binding to search", m.Name())
 		}
 		return nil
 	}
-	return s.queryPlan(q, spatial, func(mf func() enclave.Model, tr *trace.Trace, opts driver.Options) (any, error) {
+	return s.queryPlan(q, spatial, func(model enclave.Model, tr *trace.Trace, opts driver.Options) (any, error) {
 		// The run searches the binding itself and reports its outcome.
-		res, err := driver.RunTrace(s.cfg.Arch, mf(), tr, opts)
+		res, err := driver.RunTrace(s.cfg.Arch, model, tr, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -662,8 +666,8 @@ func (s *Server) searchPlan(q *Query) (plan, error) {
 func (s *Server) runPlan(q *Query) (plan, error) {
 	// The body is exactly the driver Result, so an online answer can be
 	// diffed byte-for-byte against the batch path.
-	return s.queryPlan(q, nil, func(mf func() enclave.Model, tr *trace.Trace, opts driver.Options) (any, error) {
-		return driver.RunTrace(s.cfg.Arch, mf(), tr, opts)
+	return s.queryPlan(q, nil, func(model enclave.Model, tr *trace.Trace, opts driver.Options) (any, error) {
+		return driver.RunTrace(s.cfg.Arch, model, tr, opts)
 	})
 }
 
@@ -676,17 +680,17 @@ func (s *Server) gridPlan(req *GridRequest) (plan, error) {
 	}
 	// Validate every cell before running any.
 	entries := make([]apps.Entry, len(req.Cells))
-	models := make([]func() enclave.Model, len(req.Cells))
+	models := make([]enclave.Model, len(req.Cells))
 	for i, q := range req.Cells {
 		if q.TimeoutMs != 0 {
 			return plan{}, fmt.Errorf("cell %d: timeout_ms is per request, not per cell — set it on the grid", i)
 		}
-		entry, mf, err := s.resolve(q)
+		entry, model, err := s.resolve(q)
 		if err != nil {
 			return plan{}, fmt.Errorf("cell %d: %w", i, err)
 		}
 		entries[i] = entry
-		models[i] = mf
+		models[i] = model
 	}
 	workers := req.Workers
 	if workers <= 0 || workers > s.cfg.GridWorkers {
@@ -711,12 +715,12 @@ func (s *Server) gridPlan(req *GridRequest) (plan, error) {
 			}
 		}
 		traces, _ := runner.Map(workers, unique, func(_ int, cell int) (prefetched, error) {
-			tr, _, err := s.getTrace(ctx, entries[cell], keyOf(cell), req.Cells[cell].Options())
+			tr, _, err := s.getTrace(ctx, entries[cell], keyOf(cell), s.options(req.Cells[cell]))
 			return prefetched{tr: tr, err: err}, nil
 		})
 
 		cells, _ := runner.Map(workers, req.Cells, func(i int, q Query) (GridCell, error) {
-			model := models[i]()
+			model := models[i]
 			cell := GridCell{Key: fmt.Sprintf("%s/%s", entries[i].Alias, model.Name())}
 			pf := traces[keyIndex[keyOf(i)]]
 			if pf.err != nil {
@@ -728,7 +732,7 @@ func (s *Server) gridPlan(req *GridRequest) (plan, error) {
 			// in-flight replay at its next round checkpoint.
 			err := ctx.Err()
 			if err == nil {
-				opts := q.Options()
+				opts := s.options(q)
 				if opts.Seed == 0 {
 					opts.Seed = runner.SeedFor(1, i)
 				}
@@ -825,9 +829,6 @@ func (s *Server) jointPlan(req *JointRequest) (plan, error) {
 	policies, err := sched.PolicyByName(req.Policy)
 	if err != nil {
 		return plan{}, err
-	}
-	if req.SecureCores < 0 {
-		return plan{}, fmt.Errorf("secure_cores %d must be 0 (half the machine) or a cluster size", req.SecureCores)
 	}
 	res, err := sched.MachineResources(s.cfg.Arch, req.SecureCores)
 	if err != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +13,6 @@ import (
 	"ironhide/internal/apps"
 	"ironhide/internal/arch"
 	"ironhide/internal/driver"
-	"ironhide/internal/enclave"
 )
 
 // testServer starts an in-process server over the full-fidelity machine.
@@ -114,7 +114,7 @@ func TestConcurrentIdenticalSearches(t *testing.T) {
 // same (app, model, scale, seed) — the online service is a cache in front
 // of the batch driver, not a different simulator.
 func TestRunMatchesBatchDriver(t *testing.T) {
-	_, ts := testServer(t, Config{})
+	s, ts := testServer(t, Config{})
 	for _, model := range []string{"IRONHIDE", "SGX"} {
 		q := Query{App: "sssp-graph", Model: model, Scale: 0.1, Seed: 3}
 		resp, body := post(t, ts, "/v1/run", q)
@@ -122,14 +122,11 @@ func TestRunMatchesBatchDriver(t *testing.T) {
 			t.Fatalf("%s: status %d: %s", model, resp.StatusCode, body)
 		}
 
-		entry, _ := apps.ByName(q.App)
-		var mf func() enclave.Model
-		for _, f := range driver.ModelFactories() {
-			if f().Name() == model {
-				mf = f
-			}
+		entry, m, err := s.resolve(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		want, err := driver.Run(arch.TileGx72(), mf(), entry.Factory, driver.Options{Scale: q.Scale, Seed: q.Seed})
+		want, err := driver.Run(arch.TileGx72(), m, entry.Factory, driver.Options{Scale: q.Scale, Seed: q.Seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,5 +338,56 @@ func TestStatus(t *testing.T) {
 	}
 	if st.InFlight.Search != 0 || st.InFlight.Run != 0 || st.InFlight.Grid != 0 {
 		t.Fatalf("in-flight counts should be zero at rest: %+v", st.InFlight)
+	}
+}
+
+// peakCtx is a request context that records how many goroutines poll it
+// at once. A search polls its interrupt before every probe and at every
+// probe round, from the goroutine running that probe, so the peak bounds
+// the probes in flight.
+type peakCtx struct {
+	context.Context
+	mu       sync.Mutex
+	in, peak int
+}
+
+func (c *peakCtx) Err() error {
+	c.mu.Lock()
+	c.in++
+	c.peak = max(c.peak, c.in)
+	c.mu.Unlock()
+	time.Sleep(time.Millisecond) // hold the poll so concurrent probes overlap in it
+	c.mu.Lock()
+	c.in--
+	c.mu.Unlock()
+	return nil
+}
+
+// A client's search_workers cannot fan a search out past GridWorkers, on
+// /v1/search or in a /v1/grid cell: each probe holds an arena machine of
+// its own and the arena keeps every machine it builds.
+func TestSearchWorkersClampedToGridWorkers(t *testing.T) {
+	s, _ := testServer(t, Config{GridWorkers: 2})
+	q := Query{App: "sssp-graph", Model: "IRONHIDE", Scale: 0.1, Seed: 3, Optimal: true, OptimalStride: 8, SearchWorkers: 8}
+	search, err := s.searchPlan(&q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := s.gridPlan(&GridRequest{Cells: []Query{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]plan{"search": search, "grid": grid} {
+		ctx := &peakCtx{Context: context.Background()}
+		out := p.work(ctx)
+		if out.err != nil {
+			t.Fatalf("%s: %v", name, out.err)
+		}
+		if g, ok := out.body.(GridResponse); ok && g.Cells[0].Error != "" {
+			t.Fatalf("%s: %s", name, g.Cells[0].Error)
+		}
+		if ctx.peak != 2 {
+			t.Fatalf("%s: %d goroutines polled the request at once, want GridWorkers = 2", name, ctx.peak)
+		}
 	}
 }
